@@ -21,8 +21,9 @@ signal) and expose ``saturating_adv_loss`` to flip back.
 Observability: ``fit`` accepts an optional
 :class:`repro.obs.RunRecorder` (falling back to the ambient recorder
 installed by the experiment CLI).  With one attached it emits
-``d_step`` / ``p_step`` / ``adv_epoch`` events, times the two update
-kinds as latency sections, and runs a
+``d_step`` / ``p_step`` / ``adv_epoch`` events, times the shared P
+rollout and the two update kinds as ``rollout`` / ``d_step`` /
+``p_step`` latency sections, and runs a
 :class:`repro.obs.GanHealthMonitor` over D probabilities, the
 adversarial-loss share and pre-clip gradient norms.  Without one the
 instrumentation branches are skipped entirely (zero-cost default).
@@ -93,8 +94,9 @@ class APOTSTrainer:
         self._cf_dstep = None
         self._cf_ploss = None
         # One rollout per (batch, predictor version): the D steps and the
-        # P step of a batch all see the same P parameters, so Ŝ can be
-        # rolled once and shared instead of recomputed per sub-step.
+        # P step of a batch all see the same P parameters, so Ŝ is rolled
+        # once, with its graph, and shared instead of recomputed per
+        # sub-step.  Every P step drops it, so no graph outlives its batch.
         self._roll_cache: tuple | None = None
         self._p_version = 0
         if self.spec.compile:
@@ -164,13 +166,34 @@ class APOTSTrainer:
         self._cf_ploss = CompiledFunction(ploss_fn, grad_indices=(0,), name="apots_p_loss")
 
     def _batch_rollout(self, batch: RolloutBatch):
-        """The batch's compiled rollout run, computed once per P version."""
+        """The batch's rollout over P, computed once per P version.
+
+        Eager, this is the graph-carrying (B * alpha,) prediction Tensor;
+        compiled, the rollout tape's run.  D steps read its values
+        detached, the P step backpropagates through it.
+        """
         cached = self._roll_cache
         if cached is not None and cached[0] is batch and cached[1] == self._p_version:
             return cached[2]
-        run = self._cf_roll(batch.group_images, batch.group_day_types, batch.group_flat)
-        self._roll_cache = (batch, self._p_version, run)
-        return run
+        if self._cf_roll is not None:
+            roll = self._cf_roll(batch.group_images, batch.group_day_types, batch.group_flat)
+        else:
+            roll = self.predictor.predict_arrays(
+                batch.group_images, batch.group_day_types, batch.group_flat
+            )
+        self._roll_cache = (batch, self._p_version, roll)
+        return roll
+
+    def _rolled_sequences(self, batch: RolloutBatch, alpha: int) -> np.ndarray:
+        """Values of the shared rollout as (B, alpha) sequences."""
+        roll = self._batch_rollout(batch)
+        predictions = roll.outputs[0] if self._cf_roll is not None else roll
+        return predictions.data.reshape(batch.num_anchors, alpha)
+
+    def _p_updated(self) -> None:
+        """Retire the rollout after a P update: its values are stale now."""
+        self._p_version += 1
+        self._roll_cache = None
 
     def _make_augmenter(self, dataset: TrafficDataset):
         """The input-space adversarial augmenter, or None when disabled.
@@ -187,17 +210,6 @@ class APOTSTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _predict_sequences(self, batch: RolloutBatch, alpha: int) -> tuple[nn.Tensor, nn.Tensor]:
-        """Roll P over each anchor's alpha windows.
-
-        Returns (per-window predictions (B*alpha,), sequences (B, alpha)).
-        """
-        predictions = self.predictor.predict_arrays(
-            batch.group_images, batch.group_day_types, batch.group_flat
-        )
-        sequences = predictions.reshape(batch.num_anchors, alpha)
-        return predictions, sequences
-
     def _sequence_view(self, sequences: np.ndarray) -> np.ndarray:
         """Slice sequences to what D inspects (last `sequence_length` steps).
 
@@ -210,52 +222,31 @@ class APOTSTrainer:
         self, batch: RolloutBatch, alpha: int
     ) -> tuple[float, float, float, float]:
         """One D update; returns (loss, real prob, fake prob, grad norm)."""
+        fake = self._sequence_view(self._rolled_sequences(batch, alpha))  # detached
+        real = self._sequence_view(batch.real_sequences(alpha))
+        conditional = self.discriminator.conditional
         if self._cf_dstep is not None:
-            return self._discriminator_step_compiled(batch, alpha)
-        with nn.no_grad():
-            _, fake_sequences = self._predict_sequences(batch, alpha)
-        fake = nn.Tensor(self._sequence_view(fake_sequences.data))  # detached
-        real = nn.Tensor(self._sequence_view(batch.real_sequences(alpha)))
-        condition = nn.Tensor(batch.condition) if self.discriminator.conditional else None
-
-        real_logits = self.discriminator(real, condition)
-        fake_logits = self.discriminator(fake, condition)
-        ones = np.ones(batch.num_anchors)
-        zeros = np.zeros(batch.num_anchors)
-        loss = self.bce(real_logits, ones) + self.bce(fake_logits, zeros)
+            args = [fake, real, batch.condition] if conditional else [fake, real]
+            run = self._cf_dstep(*args)
+            loss, real_logits, fake_logits = run.outputs
+            backward = run.backward
+        else:
+            condition = nn.Tensor(batch.condition) if conditional else None
+            real_logits = self.discriminator(nn.Tensor(real), condition)
+            fake_logits = self.discriminator(nn.Tensor(fake), condition)
+            ones = np.ones(batch.num_anchors)
+            zeros = np.zeros(batch.num_anchors)
+            loss = self.bce(real_logits, ones) + self.bce(fake_logits, zeros)
+            backward = loss.backward
 
         self.d_optimizer.zero_grad()
-        loss.backward()
+        backward()
         grad_norm = self.d_optimizer.clip_grad_norm(self.spec.grad_clip)
         self.d_optimizer.step()
 
         with nn.no_grad():
             real_prob = float(real_logits.sigmoid().data.mean())
             fake_prob = float(fake_logits.sigmoid().data.mean())
-        return loss.item(), real_prob, fake_prob, grad_norm
-
-    def _discriminator_step_compiled(
-        self, batch: RolloutBatch, alpha: int
-    ) -> tuple[float, float, float, float]:
-        """Compiled D update: shared rollout values + replayed D pass."""
-        roll = self._batch_rollout(batch)
-        sequences = roll.outputs[0].data.reshape(batch.num_anchors, alpha)
-        fake = self._sequence_view(sequences)
-        real = self._sequence_view(batch.real_sequences(alpha))
-        args = [fake, real]
-        if self.discriminator.conditional:
-            args.append(batch.condition)
-        run = self._cf_dstep(*args)
-        loss, real_logits, fake_logits = run.outputs
-
-        self.d_optimizer.zero_grad()
-        run.backward()
-        grad_norm = self.d_optimizer.clip_grad_norm(self.spec.grad_clip)
-        self.d_optimizer.step()
-
-        with nn.no_grad():
-            real_prob = float(nn.Tensor(real_logits.data).sigmoid().data.mean())
-            fake_prob = float(nn.Tensor(fake_logits.data).sigmoid().data.mean())
         return loss.item(), real_prob, fake_prob, grad_norm
 
     def _predictor_step_compiled(
@@ -269,7 +260,7 @@ class APOTSTrainer:
         contraction the eager single-graph backward performs.
         """
         roll = self._batch_rollout(batch)
-        sequences = roll.outputs[0].data.reshape(batch.num_anchors, alpha)
+        sequences = self._rolled_sequences(batch, alpha)
         args = [sequences, batch.group_targets]
         if self.discriminator.conditional:
             args.append(batch.condition)
@@ -284,7 +275,7 @@ class APOTSTrainer:
         grad_norm = self.p_optimizer.clip_grad_norm(self.spec.grad_clip)
         self.p_optimizer.step()
         self.discriminator.zero_grad()
-        self._p_version += 1
+        self._p_updated()
         return results[0], results[1], results[2], grad_norm, fake_std
 
     def _predictor_step(
@@ -293,7 +284,8 @@ class APOTSTrainer:
         """One P update; returns (total, mse, adv, grad norm, fake std)."""
         if self._cf_ploss is not None:
             return self._predictor_step_compiled(batch, alpha)
-        predictions, sequences = self._predict_sequences(batch, alpha)
+        predictions = self._batch_rollout(batch)
+        sequences = predictions.reshape(batch.num_anchors, alpha)
         mse_loss = self.mse(predictions, batch.group_targets)
 
         condition = nn.Tensor(batch.condition) if self.discriminator.conditional else None
@@ -316,6 +308,7 @@ class APOTSTrainer:
         grad_norm = self.p_optimizer.clip_grad_norm(self.spec.grad_clip)
         self.p_optimizer.step()
         self.discriminator.zero_grad()
+        self._p_updated()
         # Spread of the generated sequences: the mode-collapse signal.
         fake_std = float(sequences.data.std())
         return total.item(), mse_loss.item(), adv_loss.item(), grad_norm, fake_std
@@ -387,6 +380,10 @@ class APOTSTrainer:
                                 robust_loss=aug.robust_loss,
                                 max_abs_delta_kmh=aug.max_abs_delta_kmh,
                             )
+                # Roll P once, with its graph: the D steps read its values,
+                # the P step backpropagates through it.
+                with section("rollout"):
+                    self._batch_rollout(batch)
                 for _ in range(self.spec.discriminator_steps):
                     with section("d_step"):
                         d_loss, real_prob, fake_prob, d_norm = self._discriminator_step(

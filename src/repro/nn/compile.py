@@ -345,8 +345,7 @@ def _rule_conv2d(out, parents, meta):
     stride = meta["stride"]
 
     def run():
-        new_out, new_cols, _, _ = _conv2d_forward(x, weight, bias, stride)
-        np.copyto(cols_flat, new_cols)
+        new_out, _, _, _ = _conv2d_forward(x, weight, bias, stride, cols_flat)
         np.copyto(o, new_out)
 
     return run

@@ -66,7 +66,9 @@ def _lstm_forward_kernel(
 
     Shared by the eager op (fresh buffers) and the compiled replay path
     (record-time buffers) so both produce bit-identical activations.
-    ``h`` / ``c`` are read, never written.  Returns the final state.
+    The caches are time-major, (T, B, H), so each step writes (and BPTT
+    reads) one contiguous block.  ``h`` / ``c`` are read, never written.
+    Returns the final state.
     """
     steps = x_data.shape[1]
     hidden = w_hh.shape[1]
@@ -87,17 +89,17 @@ def _lstm_forward_kernel(
         f_gate = _sigmoid(gates[:, 1 * hidden : 2 * hidden])
         g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
         o_gate = _sigmoid(gates[:, 3 * hidden : 4 * hidden])
-        c_prev_cache[:, t] = c
-        h_prev_cache[:, t] = h
+        c_prev_cache[t] = c
+        h_prev_cache[t] = h
         c = f_gate * c + i_gate * g_gate
         tanh_c = np.tanh(c)
         h = o_gate * tanh_c
         outputs[:, t] = h
-        i_cache[:, t] = i_gate
-        f_cache[:, t] = f_gate
-        g_cache[:, t] = g_gate
-        o_cache[:, t] = o_gate
-        tanh_c_cache[:, t] = tanh_c
+        i_cache[t] = i_gate
+        f_cache[t] = f_gate
+        g_cache[t] = g_gate
+        o_cache[t] = o_gate
+        tanh_c_cache[t] = tanh_c
 
     return h.copy(), c.copy()
 
@@ -149,9 +151,9 @@ def lstm_layer_forward(
 
     gates_x = np.empty((batch, steps, 4 * hidden), dtype=np.float64)
     outputs = np.empty((batch, steps, hidden), dtype=np.float64)
-    # Caches for backward (refreshed in place on compiled replay).
+    # Time-major caches for backward (refreshed in place on compiled replay).
     caches = {
-        name: np.empty((batch, steps, hidden), dtype=np.float64)
+        name: np.empty((steps, batch, hidden), dtype=np.float64)
         for name in ("i", "f", "g", "o", "c_prev", "tanh_c", "h_prev")
     }
 
@@ -177,17 +179,17 @@ def lstm_layer_forward(
         dgates = np.empty((batch, 4 * hidden), dtype=np.float64)
 
         for t in range(steps - 1, -1, -1):
-            i_gate = i_cache[:, t]
-            f_gate = f_cache[:, t]
-            g_gate = g_cache[:, t]
-            o_gate = o_cache[:, t]
-            tanh_c = tanh_c_cache[:, t]
+            i_gate = i_cache[t]
+            f_gate = f_cache[t]
+            g_gate = g_cache[t]
+            o_gate = o_cache[t]
+            tanh_c = tanh_c_cache[t]
 
             dh = grad_out[:, t] + dh_next
             do = dh * tanh_c
             dc = dc_next + dh * o_gate * (1.0 - tanh_c * tanh_c)
             di = dc * g_gate
-            df = dc * c_prev_cache[:, t]
+            df = dc * c_prev_cache[t]
             dg = dc * i_gate
             dc_next = dc * f_gate
 
@@ -199,7 +201,7 @@ def lstm_layer_forward(
             grad_x[:, t] = dgates @ w_ih
             dh_next = dgates @ w_hh
             grad_w_ih += dgates.T @ x_data[:, t]
-            grad_w_hh += dgates.T @ h_prev_cache[:, t]
+            grad_w_hh += dgates.T @ h_prev_cache[t]
             grad_b += dgates.sum(axis=0)
 
         return grad_x, grad_w_ih, grad_w_hh, grad_b

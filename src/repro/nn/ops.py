@@ -82,10 +82,10 @@ def pad2d(x: Tensor, padding: int | tuple[int, int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # im2col / col2im machinery
 # ---------------------------------------------------------------------------
-def im2col(
+def _patches(
     x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
 ) -> tuple[np.ndarray, int, int]:
-    """Unfold (N, C, H, W) into (N, C*kh*kw, out_h*out_w) patches."""
+    """Zero-copy (N, C, kh, kw, out_h, out_w) patch view of (N, C, H, W)."""
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
@@ -100,7 +100,15 @@ def im2col(
         x.strides[2] * sh,
         x.strides[3] * sw,
     )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides), out_h, out_w
+
+
+def im2col(
+    x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
+) -> tuple[np.ndarray, int, int]:
+    """Unfold (N, C, H, W) into (N, C*kh*kw, out_h*out_w) patches."""
+    patches, out_h, out_w = _patches(x, kernel, stride)
+    n, c, kh, kw = patches.shape[:4]
     cols = patches.reshape(n, c * kh * kw, out_h * out_w)
     return np.ascontiguousarray(cols), out_h, out_w
 
@@ -130,23 +138,32 @@ def _conv2d_forward(
     w_data: np.ndarray,
     bias_data: np.ndarray | None,
     stride: tuple[int, int],
+    cols_flat: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
     """The conv2d forward math, shared by the eager op and replay.
 
-    Returns ``(out, cols_flat, w_mat, (k_dim, length, out_h, out_w))``.
+    ``cols_flat`` optionally names the (N*L, K) patch buffer to refill
+    (a replay passes the one its backward captured); a fresh one is
+    allocated otherwise.  Returns
+    ``(out, cols_flat, w_mat, (k_dim, length, out_h, out_w))``.
     """
     n = x_data.shape[0]
-    c_out, _, kh, kw = w_data.shape
-    cols, out_h, out_w = im2col(x_data, (kh, kw), stride)  # (N, C*kh*kw, L)
-    k_dim = cols.shape[1]
-    length = cols.shape[2]
+    c_out, c_in, kh, kw = w_data.shape
+    patches, out_h, out_w = _patches(x_data, (kh, kw), stride)
+    k_dim = c_in * kh * kw
+    length = out_h * out_w
+    if cols_flat is None:
+        cols_flat = np.empty((n * length, k_dim), dtype=x_data.dtype)
+    # (N*L, K) @ (K, C_out) keeps everything in BLAS; the patch view is
+    # gathered into that operand's row-major layout in one strided copy.
+    np.copyto(
+        cols_flat.reshape(n, out_h, out_w, c_in, kh, kw), patches.transpose(0, 4, 5, 1, 2, 3)
+    )
     w_mat = w_data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    # (N*L, K) @ (K, C_out) keeps everything in BLAS.
-    cols_flat = cols.transpose(0, 2, 1).reshape(n * length, k_dim)
     out = (cols_flat @ w_mat.T).reshape(n, length, c_out).transpose(0, 2, 1)
     out = np.ascontiguousarray(out).reshape(n, c_out, out_h, out_w)
     if bias_data is not None:
-        out = out + bias_data.reshape(1, c_out, 1, 1)
+        out += bias_data.reshape(1, c_out, 1, 1)
     return out, cols_flat, w_mat, (k_dim, length, out_h, out_w)
 
 
@@ -182,8 +199,11 @@ def conv2d(
         grad_flat = grad.reshape(n, c_out, length)  # (N, C_out, L)
         grad_2d = np.ascontiguousarray(grad_flat.transpose(0, 2, 1)).reshape(n * length, c_out)
         grad_w = (grad_2d.T @ cols_flat).reshape(w_data.shape)
-        grad_cols = (grad_2d @ w_mat).reshape(n, length, k_dim).transpose(0, 2, 1)
-        grad_x = col2im(np.ascontiguousarray(grad_cols), x_data.shape, (kh, kw), stride)
+        grad_x = None  # a first layer's input needs no gradient: skip col2im
+        if x.requires_grad:
+            # col2im only splits axes, so it reads this transposed view in place.
+            grad_cols = (grad_2d @ w_mat).reshape(n, length, k_dim).transpose(0, 2, 1)
+            grad_x = col2im(grad_cols, x_data.shape, (kh, kw), stride)
         if bias is None:
             return grad_x, grad_w
         grad_b = grad_2d.sum(axis=0)

@@ -2,8 +2,8 @@
 
 One subsystem instruments both halves of the stack:
 
-* :mod:`telemetry` — counters and bounded-reservoir histograms (moved
-  here from ``repro.serving.telemetry``; a re-export shim remains).
+* :mod:`telemetry` — counters and bounded-reservoir histograms (the
+  serving layer re-exports them from here).
 * :mod:`recorder` — :class:`RunRecorder` streams structured JSONL
   events next to a run manifest (spec, seed, git describe, wall-clock
   section timings), plus the ambient-recorder context used by the

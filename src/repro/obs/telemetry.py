@@ -5,9 +5,9 @@ the minimal useful core: monotonic counters, bounded-reservoir
 histograms with percentile summaries, and a :meth:`Telemetry.snapshot`
 dict that the benchmark harness and the serving example print directly.
 
-Lived at ``repro.serving.telemetry`` until PR 2; it moved here so the
-training side (``repro.core`` trainers, :mod:`repro.obs.recorder`) can
-share the same primitives without importing the serving layer.
+It lives in the observability layer, not in serving, so the training
+side (``repro.core`` trainers, :mod:`repro.obs.recorder`) can share the
+same primitives without importing the serving layer.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ class TestObservability:
         manifest = json.loads(recorder.manifest_path.read_text())
         assert manifest["trainer"] == "APOTSTrainer"
         assert manifest["seed"] == spec.seed
-        assert set(manifest["sections"]) >= {"d_step", "p_step"}
+        assert set(manifest["sections"]) >= {"rollout", "d_step", "p_step"}
 
     def test_ambient_recorder_used_when_none_passed(self, tiny_dataset, tmp_path):
         predictor, disc, spec = make_pair(tiny_dataset, epochs=1)

@@ -58,12 +58,12 @@ class TestRolloutConsistency:
         anchors = tiny_dataset.rollout_anchors("train")[:4]
         batch = tiny_dataset.rollout_batch(anchors)
         alpha = tiny_dataset.config.alpha
-        _, sequences = trainer._predict_sequences(batch, alpha)
+        sequences = trainer._rolled_sequences(batch, alpha)
         direct = trainer.predictor.predict(
             batch.group_images, batch.group_day_types, batch.group_flat
         )
         np.testing.assert_allclose(
-            sequences.data.reshape(-1), direct, rtol=1e-8, atol=1e-10
+            sequences.reshape(-1), direct, rtol=1e-8, atol=1e-10
         )
 
     def test_anchor_prediction_is_last_sequence_entry(self, tiny_dataset):
@@ -72,9 +72,9 @@ class TestRolloutConsistency:
         anchors = tiny_dataset.rollout_anchors("train")[:4]
         batch = tiny_dataset.rollout_batch(anchors)
         alpha = tiny_dataset.config.alpha
-        _, sequences = trainer._predict_sequences(batch, alpha)
+        sequences = trainer._rolled_sequences(batch, alpha)
         anchor_batch = tiny_dataset.batch(anchors)
         direct = trainer.predictor.predict(
             anchor_batch.images, anchor_batch.day_types, anchor_batch.flat
         )
-        np.testing.assert_allclose(sequences.data[:, -1], direct, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(sequences[:, -1], direct, rtol=1e-8, atol=1e-10)

@@ -72,18 +72,3 @@ class TestTelemetry:
         snap = t.snapshot()
         assert snap["counters"] == {"requests": 3.0}
         assert snap["histograms"]["latency"]["count"] == 1
-
-    def test_serving_shim_warns_and_aliases(self):
-        # The retired repro.serving.telemetry shim must still alias the
-        # obs primitives but warn on (first) import; reimport the module
-        # so the warning fires regardless of import order in the suite.
-        import importlib
-
-        from repro import obs, serving
-        from repro.serving import telemetry as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.serving.telemetry is deprecated"):
-            shim = importlib.reload(shim)
-        assert shim.Telemetry is obs.Telemetry
-        assert serving.Histogram is obs.Histogram
-        assert serving.Counter is obs.Counter

@@ -46,8 +46,6 @@ serving path deployable without dragging the offline experiment harness
   ``repro.experiments`` (plus tools and tests) may import it back — the
   serving stack and the fleet consume its ``TrafficSeries`` output and
   plain-data shard starts, never its types
-* ``repro.serving.telemetry`` is a deprecated shim (the real module is
-  ``repro.obs.telemetry``): no in-repo module may import it
 
 Run directly or via ``tools/ci.sh``::
 
@@ -205,10 +203,6 @@ RESTRICTED_IMPORTERS: dict[str, tuple[str, ...]] = {
     # forecast server must boot without the retraining machinery.  Tools
     # live outside src/repro, so the smoke scripts stay free to use it.
     "repro.mlops": ("repro.mlops", "repro.experiments"),
-    # Deprecated shim (moved to repro.obs.telemetry in PR 5, retired in
-    # PR 8): external importers get a DeprecationWarning, in-repo
-    # importers get a CI failure.
-    "repro.serving.telemetry": (),
     # The scenario engine is an input *source*: only the experiment
     # harness (and tools/tests outside src) may drive it.  The serving
     # stack and the fleet consume its TrafficSeries output and its
