@@ -47,9 +47,9 @@ from ..attacks.defense import GateConfig, PerturbationGate
 from ..core.zoo import load_model, model_fingerprint
 from ..obs.telemetry import Telemetry
 from ..parallel.group import WorkerGroup, WorkerGroupError
-from ..serving.errors import IncompleteWindowError, StaleObservationError, StreamGapError
+from ..serving.errors import IncompleteWindowError
 from ..serving.service import Forecast, ForecastService
-from ..serving.state import Observation
+from ..serving.state import Observation, check_batch
 from .admission import AdmissionController
 from .errors import FleetClosedError, FleetError
 from .replica import ReplicaSpec
@@ -274,31 +274,13 @@ class ForecastFleet:
     # Ingestion
     # ------------------------------------------------------------------
     def _validate_stream(self, observations: list[Observation]) -> None:
-        """Reject stale/gapped observations *before* any state mutates.
+        """Reject invalid, stale or gapped observations *before* any state mutates.
 
-        Stricter than the incremental per-observation validation of a
-        single service (which ingests a batch's prefix before raising):
-        the fleet validates the whole batch against its bookkeeping
-        first, so parent and every replica stay consistent on error.
+        The same whole-batch rule as a single service's store, checked
+        against the parent's bookkeeping, so parent and every replica
+        stay consistent on error.
         """
-        latest: dict[int, int] = {}
-        for obs in observations:
-            self.shard_map.check_segment(obs.segment_id)
-            seg = obs.segment_id
-            previous = latest.get(seg, int(self._latest_step[seg]))
-            if previous >= 0:
-                if obs.step <= previous:
-                    raise StaleObservationError(
-                        f"segment {seg}: observation for step {obs.step} arrived "
-                        f"after step {previous} was already ingested (out of order)"
-                    )
-                if obs.step > previous + 1:
-                    raise StreamGapError(
-                        f"segment {seg}: stream skipped steps "
-                        f"{previous + 1}..{obs.step - 1}; call reset_segment({seg}) "
-                        f"to restart the stream"
-                    )
-            latest[seg] = obs.step
+        check_batch(observations, self._latest_step.tolist())
 
     def _shards_for(self, segment_id: int):
         """Shards whose replicas need this segment's observations."""

@@ -79,6 +79,11 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _matmul_shape(a: tuple, b: tuple) -> tuple:
+    """Result shape of ``a @ b`` for operands of at least two dimensions."""
+    return (*np.broadcast_shapes(a[:-2], b[:-2]), a[-2], b[-1])
+
+
 def _prepare_seed(out: Tensor, seed) -> np.ndarray:
     """Normalise a backward seed exactly like :meth:`Tensor.backward`."""
     data = out.data
@@ -757,12 +762,12 @@ def _fast_backward_step(op, node, parents, meta, g, gbufs, has, pindex, delivere
         b_t = np.swapaxes(b, -1, -2)
         for k, _ in grad_edges():
             if k == 0:
-                if np.matmul(np.empty(g.shape), b_t).shape == a.shape:
+                if _matmul_shape(g.shape, b_t.shape) == a.shape:
                     add_compute(0, lambda out: np.matmul(g, b_t, out=out))
                 else:
                     add_view(0, lambda: g @ b_t)
             else:
-                if np.matmul(a_t, np.empty(g.shape)).shape == b.shape:
+                if _matmul_shape(a_t.shape, g.shape) == b.shape:
                     add_compute(1, lambda out: np.matmul(a_t, g, out=out))
                 else:
                     add_view(1, lambda: a_t @ g)

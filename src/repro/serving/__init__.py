@@ -4,8 +4,7 @@ Turns a checkpoint into a live service: rolling per-segment state
 ingestion (:mod:`state`), request coalescing (:mod:`batcher`), TTL+LRU
 forecast caching (:mod:`cache`), the :class:`ForecastService` facade
 (:mod:`service`) and counters/latency histograms (re-exported from
-:mod:`repro.obs.telemetry`; the :mod:`telemetry` shim is deprecated
-and warns on import).
+:mod:`repro.obs.telemetry`).
 
 This layer is experiment-free by construction: it may depend on
 ``repro.core`` / ``repro.data`` / ``repro.nn`` but never on
@@ -16,6 +15,7 @@ from .batcher import MicroBatcher, PendingForecast
 from .cache import ForecastCache
 from .errors import (
     IncompleteWindowError,
+    InvalidObservationError,
     ServingError,
     StaleObservationError,
     StreamGapError,
@@ -33,6 +33,7 @@ __all__ = [
     "UnknownSegmentError",
     "StaleObservationError",
     "StreamGapError",
+    "InvalidObservationError",
     "IncompleteWindowError",
     "Forecast",
     "ForecastService",

@@ -120,15 +120,19 @@ class MicroBatcher:
 
     def _run(self, chunk: list[PendingForecast]) -> None:
         size = len(chunk)
-        images = np.stack([p.view.image for p in chunk])
-        day_types = np.stack([p.view.day_type for p in chunk])
-        flat = np.stack([p.view.flat for p in chunk])
-        if self.pad_batches and size < self.max_batch_size:
-            pad = self.max_batch_size - size
-            images = np.concatenate([images, np.zeros((pad, *images.shape[1:]))])
-            day_types = np.concatenate([day_types, np.zeros((pad, *day_types.shape[1:]))])
-            flat = np.concatenate([flat, np.zeros((pad, *flat.shape[1:]))])
-        predictions = np.asarray(self._forward(images, day_types, flat)).reshape(-1)[:size]
+        rows = self.max_batch_size if self.pad_batches else size
+        views = [p.view for p in chunk]
+        inputs = []
+        for rows_of in (
+            [v.image for v in views],
+            [v.day_type for v in views],
+            [v.flat for v in views],
+        ):
+            # One copy per input: the windows land in a zero-padded batch.
+            batch = np.zeros((rows, *rows_of[0].shape))
+            np.stack(rows_of, out=batch[:size])
+            inputs.append(batch)
+        predictions = np.asarray(self._forward(*inputs)).reshape(-1)[:size]
         for pending, value in zip(chunk, predictions):
             pending.value = float(value)
             pending.done = True

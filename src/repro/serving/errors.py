@@ -14,6 +14,7 @@ __all__ = [
     "UnknownSegmentError",
     "StaleObservationError",
     "StreamGapError",
+    "InvalidObservationError",
     "IncompleteWindowError",
 ]
 
@@ -32,6 +33,16 @@ class StaleObservationError(ServingError):
 
 class StreamGapError(ServingError):
     """An observation skipped ticks; the stream must be reset to resume."""
+
+
+class InvalidObservationError(ServingError):
+    """An observation carries a value no sensor can report.
+
+    Non-finite fields and negative speeds are rejected at the boundary,
+    before any window could serve them.  Finite readings outside the
+    plausible range are the :class:`repro.attacks.defense.PerturbationGate`'s
+    business: it quarantines them instead.
+    """
 
 
 class IncompleteWindowError(ServingError):

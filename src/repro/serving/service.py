@@ -178,22 +178,20 @@ class ForecastService:
     # Ingestion
     # ------------------------------------------------------------------
     def ingest(self, observation: Observation) -> None:
-        self.store.ingest(observation)
-        self.telemetry.counter("observations").inc()
-        self._screen(observation)
+        self.ingest_many((observation,))
 
     def ingest_many(self, observations: Iterable[Observation]) -> int:
+        """Absorb a batch (all or nothing, see the store), then screen it."""
         observations = list(observations)
         count = self.store.ingest_many(observations)
         self.telemetry.counter("observations").inc(count)
-        for observation in observations:
-            self._screen(observation)
+        if self.gate is not None:
+            for observation in observations:
+                self._screen(observation)
         return count
 
     def _screen(self, observation: Observation) -> None:
-        """Run the perturbation gate (if any) over one accepted reading."""
-        if self.gate is None:
-            return
+        """Run the perturbation gate over one accepted reading."""
         decision = self.gate.screen(
             observation.segment_id, observation.step, observation.speed_kmh
         )
@@ -279,7 +277,7 @@ class ForecastService:
         if use_cache:
             cached = self.cache.get(key)
             if cached is not None:
-                return replace(cached, from_cache=True), None, None
+                return cached, None, None
         return None, key, view
 
     def _complete(
@@ -295,7 +293,9 @@ class ForecastService:
             model_fingerprint=self._fingerprint,
         )
         if use_cache:
-            self.cache.put(key, forecast)
+            # The cache holds the answer as every hit returns it: one
+            # immutable Forecast, shared rather than copied per hit.
+            self.cache.put(key, replace(forecast, from_cache=True))
         return forecast
 
     def predict(
@@ -340,21 +340,25 @@ class ForecastService:
             for position, segment_id in enumerate(segment_ids):
                 results[position] = self._naive(segment_id, horizon, reason)
         else:
-            # One vectorised pass assembles every servable window, so the
+            # The store assembles each window once per update (one
+            # vectorised pass over whatever is not memoised yet), so the
             # batch amortises feature assembly as well as the forward.
             windows = self.store.windows_many(segment_ids)
+            fingerprint = self._fingerprint
+            gated = self.gate is not None
+            cache_get = self.cache.get
             for position, (segment_id, view) in enumerate(zip(segment_ids, windows)):
-                if self._gate_quarantined(segment_id):
+                if gated and self._gate_quarantined(segment_id):
                     results[position] = self._gate_naive(segment_id, horizon)
                     continue
                 if isinstance(view, IncompleteWindowError):
                     results[position] = self._naive(segment_id, horizon, str(view))
                     continue
-                key = (self._fingerprint, segment_id, horizon, view.fingerprint)
+                key = (fingerprint, segment_id, horizon, view.fingerprint)
                 if use_cache:
-                    cached = self.cache.get(key)
+                    cached = cache_get(key)
                     if cached is not None:
-                        results[position] = replace(cached, from_cache=True)
+                        results[position] = cached
                         continue
                 queued.append((position, key, view, self.batcher.submit(view)))
         self.batcher.flush()
@@ -397,10 +401,6 @@ class ForecastService:
         self.telemetry.counter("checkpoint_swaps").inc()
         return model
 
-    def load_checkpoint(self, directory: str | Path) -> APOTS:
-        """Back-compat alias for :meth:`swap_checkpoint`."""
-        return self.swap_checkpoint(directory)
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """One dict with everything an operator dashboard would scrape.
@@ -411,6 +411,7 @@ class ForecastService:
         """
         snap = self.telemetry.snapshot()
         snap["cache"] = self.cache.stats()
+        snap["windows"] = self.store.stats()
         snap["model"] = self._model.name
         snap["model_fingerprint"] = self._fingerprint
         snap["pending_requests"] = len(self.batcher)

@@ -18,23 +18,40 @@ forward but the feature assembly as well.  The single-segment
 :meth:`~SegmentStateStore.window` routes through the same code, so
 batched and per-request assembly are identical by construction.
 
-Streams are validated strictly on ingest: an observation that goes
-backwards raises :class:`StaleObservationError` and one that skips ticks
-raises :class:`StreamGapError`; a broken feed must be restarted with
-:meth:`SegmentStateStore.reset_segment` rather than silently stitched.
+Windows are memoised per store update: a segment's window (or the
+reason it has none) is assembled at most once between two updates —
+an accepted ingest batch, a :meth:`~SegmentStateStore.reset_segment`
+or a scaler swap — and every later request returns the same read-only
+:class:`WindowView`.  Any update drops the whole memo, because one
+tick's context row feeds every window.
+
+Observations are validated strictly on ingest, a whole batch before any
+of it is committed: an observation that goes backwards raises
+:class:`StaleObservationError`, one that skips ticks raises
+:class:`StreamGapError` (a broken feed must be restarted with
+:meth:`SegmentStateStore.reset_segment` rather than silently stitched),
+and a non-finite field or a negative speed raises
+:class:`InvalidObservationError`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.features import FeatureConfig, FeatureScalers
-from .errors import IncompleteWindowError, StaleObservationError, StreamGapError, UnknownSegmentError
+from .errors import (
+    IncompleteWindowError,
+    InvalidObservationError,
+    StaleObservationError,
+    StreamGapError,
+    UnknownSegmentError,
+)
 
-__all__ = ["Observation", "WindowView", "SegmentStateStore"]
+__all__ = ["Observation", "WindowView", "SegmentStateStore", "check_batch"]
 
 #: Context-ring column layout: temperature, precipitation, 4 day-type bits.
 _CTX_TEMP, _CTX_PRECIP, _CTX_DAY = 0, 1, slice(2, 6)
@@ -66,7 +83,8 @@ class WindowView:
 
     ``fingerprint`` identifies the exact window contents (and end step),
     so it changes whenever a new observation advances the window — the
-    forecast cache keys on it.
+    forecast cache keys on it.  The arrays are read-only: the store hands
+    the same view to every caller until its next update.
     """
 
     segment_id: int
@@ -77,6 +95,72 @@ class WindowView:
     flat: np.ndarray  # (flat_dim,)
     fingerprint: str
     last_speed_kmh: float
+
+
+def _check_values(obs: Observation) -> None:
+    """Raise :class:`InvalidObservationError` unless every field is a real reading."""
+    # Fast path, run on every ingested reading: a sum of finite fields is
+    # finite (barring overflow, which the field-by-field pass clears).
+    speed, temperature, precipitation = obs.speed_kmh, obs.temperature, obs.precipitation
+    total = speed + obs.event
+    if temperature is not None:
+        total += temperature
+    if precipitation is not None:
+        total += precipitation
+    if obs.day_type is not None:
+        total += sum(obs.day_type)
+    if speed >= 0.0 and math.isfinite(total):
+        return
+    if not (math.isfinite(speed) and speed >= 0.0):
+        raise InvalidObservationError(
+            f"segment {obs.segment_id} step {obs.step}: speed_kmh={obs.speed_kmh!r} "
+            f"is not a finite non-negative speed"
+        )
+    fields = [("event", obs.event), ("temperature", obs.temperature), ("precipitation", obs.precipitation)]
+    if obs.day_type is not None:
+        fields.extend(("day_type", value) for value in obs.day_type)
+    for name, value in fields:
+        if value is not None and not math.isfinite(value):
+            raise InvalidObservationError(
+                f"segment {obs.segment_id} step {obs.step}: {name}={value!r} is not finite"
+            )
+
+
+def check_batch(batch, latest_steps: list[int]) -> dict[int, tuple[int, int]]:
+    """Validate a batch of readings against each segment's stream, committing nothing.
+
+    ``latest_steps[s]`` is segment ``s``'s latest ingested step (``-1``
+    when it has none).  Raises the first fault in batch order:
+    :class:`UnknownSegmentError`, :class:`InvalidObservationError`,
+    :class:`StaleObservationError` (a step at or before the latest) or
+    :class:`StreamGapError` (a skipped step).  Returns, per touched
+    segment, the first and last step of its readings, which are
+    consecutive.
+    """
+    num_segments = len(latest_steps)
+    streams: dict[int, tuple[int, int]] = {}
+    for obs in batch:
+        seg, step = obs.segment_id, obs.step
+        if not 0 <= seg < num_segments:
+            raise UnknownSegmentError(f"segment {seg} outside corridor 0..{num_segments - 1}")
+        _check_values(obs)
+        seen = streams.get(seg)
+        if seen is None:
+            first, latest = step, latest_steps[seg]
+        else:
+            first, latest = seen
+        if latest >= 0 and step != latest + 1:
+            if step <= latest:
+                raise StaleObservationError(
+                    f"segment {seg}: observation for step {step} arrived after "
+                    f"step {latest} was already ingested (out of order)"
+                )
+            raise StreamGapError(
+                f"segment {seg}: stream skipped steps {latest + 1}..{step - 1}; "
+                f"call reset_segment({seg}) to restart the stream"
+            )
+        streams[seg] = (first, step)
+    return streams
 
 
 class _ContextRing:
@@ -147,7 +231,7 @@ class SegmentStateStore:
             raise ValueError("interval_minutes must divide a day evenly")
         self.num_segments = num_segments
         self.features = features
-        self.scalers = scalers
+        self._scalers = scalers
         # Graph-neighbourhood configs carry a row layout; corridor configs
         # don't (duck-typed so repro.data.graph_features stays optional).
         self._layout = getattr(features, "layout", None)
@@ -166,6 +250,35 @@ class SegmentStateStore:
         self._latest = np.full(num_segments, -1, dtype=np.int64)  # -1 = no data
         self._count = np.zeros(num_segments, dtype=np.int64)  # contiguous run length
         self._context = _ContextRing(capacity, width=6)
+        # Per-update window memo: segment -> WindowView | IncompleteWindowError.
+        self._windows: dict[int, WindowView | IncompleteWindowError] = {}
+        self.updates = 0  # accepted ingest batches, resets and scaler swaps
+        self.windows_assembled = 0
+        self.windows_reused = 0
+
+    @property
+    def scalers(self) -> FeatureScalers:
+        return self._scalers
+
+    @scalers.setter
+    def scalers(self, scalers: FeatureScalers) -> None:
+        """Swap the scalers (a checkpoint hot-swap); every window is re-scaled."""
+        self._scalers = scalers
+        self._updated()
+
+    def _updated(self) -> None:
+        """Drop every memoised window: the state they were assembled from moved."""
+        self._windows.clear()
+        self.updates += 1
+
+    def stats(self) -> dict:
+        """Window-memo counters: how often assembly ran versus was reused."""
+        return {
+            "updates": self.updates,
+            "windows_assembled": self.windows_assembled,
+            "windows_reused": self.windows_reused,
+            "windows_memoised": len(self._windows),
+        }
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -177,67 +290,75 @@ class SegmentStateStore:
             )
 
     def ingest(self, observation: Observation) -> None:
-        """Validate and absorb one observation.
-
-        Raises :class:`StaleObservationError` on out-of-order/duplicate
-        steps and :class:`StreamGapError` on skipped steps.
-        """
-        obs = observation
-        self._check_segment(obs.segment_id)
-        seg, step = obs.segment_id, obs.step
-        latest = int(self._latest[seg])
-        if latest >= 0:
-            if step <= latest:
-                raise StaleObservationError(
-                    f"segment {seg}: observation for step {step} arrived after "
-                    f"step {latest} was already ingested (out of order)"
-                )
-            if step > latest + 1:
-                raise StreamGapError(
-                    f"segment {seg}: stream skipped steps {latest + 1}..{step - 1}; "
-                    f"call reset_segment({seg}) to restart the stream"
-                )
-        slot = step % self._capacity
-        self._speed_data[seg, slot] = obs.speed_kmh
-        self._event_data[seg, slot] = float(obs.event)
-        self._count[seg] = min(int(self._count[seg]) + 1, self._capacity) if step == latest + 1 else 1
-        self._latest[seg] = step
-        self._ingest_context(obs)
+        """Validate and absorb one observation (see :meth:`ingest_many`)."""
+        self.ingest_many((observation,))
 
     def ingest_many(self, observations) -> int:
-        """Ingest an iterable of observations; returns how many."""
-        n = 0
-        for obs in observations:
-            self.ingest(obs)
-            n += 1
-        return n
+        """Validate a whole batch, then absorb it; returns how many.
 
-    def _ingest_context(self, obs: Observation) -> None:
+        Raises what :func:`check_batch` raises, and then nothing of the
+        batch has been committed.  A batch may carry several consecutive
+        steps of one segment.
+        """
+        batch = observations if isinstance(observations, (list, tuple)) else list(observations)
+        if not batch:
+            return 0
+        streams = check_batch(batch, self._latest.tolist())
+        steps = np.fromiter([obs.step for obs in batch], np.int64, len(batch))
+        segments = [obs.segment_id for obs in batch]
+        slots = steps % self._capacity
+        self._speed_data[segments, slots] = [obs.speed_kmh for obs in batch]
+        self._event_data[segments, slots] = [float(obs.event) for obs in batch]
+        # A segment's readings in a batch are consecutive steps; they extend
+        # its contiguous run when the first one follows the stored latest.
+        touched = list(streams)
+        first, last = np.array(list(streams.values()), dtype=np.int64).T
+        run = np.where(first == self._latest[touched] + 1, self._count[touched], 0)
+        self._count[touched] = np.minimum(run + last - first + 1, self._capacity)
+        self._latest[touched] = last
+        # Context rows change only between runs of equal steps.
+        bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(batch)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            self._ingest_context(int(steps[start]), batch[start:stop])
+        self._updated()
+        return len(batch)
+
+    def _ingest_context(self, step: int, run) -> None:
+        """Fold one run of same-step readings into the context ring.
+
+        Each field takes the last value the run provides, as if the
+        readings were folded one by one.
+        """
+        temperature = precipitation = day_type = None
+        for obs in reversed(run):
+            if temperature is None:
+                temperature = obs.temperature
+            if precipitation is None:
+                precipitation = obs.precipitation
+            if day_type is None:
+                day_type = obs.day_type
+            if temperature is not None and precipitation is not None and day_type is not None:
+                break
         ctx = self._context
-        if ctx.latest is not None and obs.step <= ctx.latest:
-            # Another segment already opened this tick (or a later one);
+        if ctx.latest is not None and step <= ctx.latest:
+            # Another reading already opened this tick (or a later one);
             # only fold in explicitly provided fields.
-            if ctx.has(obs.step):
-                row = ctx.value_at(obs.step)
-                if obs.temperature is not None:
-                    row[_CTX_TEMP] = obs.temperature
-                if obs.precipitation is not None:
-                    row[_CTX_PRECIP] = obs.precipitation
-                if obs.day_type is not None:
-                    row[_CTX_DAY] = obs.day_type
-            return
-        # New tick: start from the previous tick's values (carry-forward).
-        if ctx.latest is not None and ctx.has(obs.step - 1):
-            row = ctx.value_at(obs.step - 1).copy()
+            if not ctx.has(step):
+                return
+            row = ctx.value_at(step)
+        elif ctx.latest is not None and ctx.has(step - 1):
+            # New tick: start from the previous tick's values (carry-forward).
+            row = ctx.value_at(step - 1).copy()
         else:
             row = np.array([0.0, 0.0, *_DEFAULT_DAY_TYPE])
-        if obs.temperature is not None:
-            row[_CTX_TEMP] = obs.temperature
-        if obs.precipitation is not None:
-            row[_CTX_PRECIP] = obs.precipitation
-        if obs.day_type is not None:
-            row[_CTX_DAY] = obs.day_type
-        ctx.push(obs.step, row)
+        if temperature is not None:
+            row[_CTX_TEMP] = temperature
+        if precipitation is not None:
+            row[_CTX_PRECIP] = precipitation
+        if day_type is not None:
+            row[_CTX_DAY] = day_type
+        if ctx.latest is None or step > ctx.latest:
+            ctx.push(step, row)
 
     def reset_segment(self, segment_id: int) -> None:
         """Drop a segment's buffered stream (recovery after a gap)."""
@@ -246,6 +367,7 @@ class SegmentStateStore:
         self._count[segment_id] = 0
         self._speed_data[segment_id] = 0.0
         self._event_data[segment_id] = 0.0
+        self._updated()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -319,20 +441,38 @@ class SegmentStateStore:
         """One segment's window, or raise :class:`IncompleteWindowError`."""
         result = self.windows_many([segment_id])[0]
         if isinstance(result, IncompleteWindowError):
-            raise result
+            raise IncompleteWindowError(*result.args)  # the memoised instance stays unraised
         return result
 
     def windows_many(
         self, segment_ids
     ) -> list[WindowView | IncompleteWindowError]:
-        """Materialise many segments' windows with vectorised gathers.
+        """Many segments' windows, each assembled at most once per store update.
 
         Returns one entry per requested segment, in order: a
         :class:`WindowView`, or the :class:`IncompleteWindowError` that
         explains why the segment cannot be served by the model (callers
         degrade those to the naive forecast rather than failing the whole
         batch).  Unknown segment ids still raise — that is a caller bug,
-        not a stream condition.
+        not a stream condition.  Segments not yet memoised since the last
+        update are assembled together in one vectorised pass.
+        """
+        memo = self._windows
+        segment_ids = list(segment_ids)  # read twice on a miss; may be a generator
+        try:
+            results = [memo[segment_id] for segment_id in segment_ids]
+        except KeyError:
+            missing = [s for s in dict.fromkeys(segment_ids) if s not in memo]
+            self._assemble(missing)
+            self.windows_assembled += len(missing)
+            results = [memo[segment_id] for segment_id in segment_ids]
+            self.windows_reused += len(results) - len(missing)
+        else:
+            self.windows_reused += len(results)
+        return results
+
+    def _assemble(self, segment_ids: list[int]) -> None:
+        """Assemble distinct segments' windows with vectorised gathers into the memo.
 
         Mirrors :func:`repro.data.features.build_features` exactly: the
         adjacent-speed rows span ``segment_id - m .. segment_id + m``,
@@ -341,19 +481,17 @@ class SegmentStateStore:
         """
         cfg = self.features
         alpha, m = cfg.alpha, cfg.m
-        results: list[WindowView | IncompleteWindowError | None] = [None] * len(segment_ids)
-        ready_positions: list[int] = []
+        memo = self._windows
         ready_segments: list[int] = []
-        for position, segment_id in enumerate(segment_ids):
+        for segment_id in segment_ids:
             self._check_segment(segment_id)
             error = self._readiness_error(segment_id)
             if error is not None:
-                results[position] = error
+                memo[segment_id] = error
             else:
-                ready_positions.append(position)
                 ready_segments.append(segment_id)
         if not ready_segments:
-            return results  # type: ignore[return-value]
+            return
 
         segments = np.asarray(ready_segments, dtype=np.int64)
         ends = self._latest[segments]  # (B,)
@@ -397,23 +535,23 @@ class SegmentStateStore:
             axis=1,
         )  # (B, image_rows, alpha)
         flats = np.concatenate([images.reshape(len(segments), -1), day_types], axis=1)
-        last_speeds = adj_kmh[:, m, -1]
+        last_speeds = adj_kmh[:, m, -1].tolist()
+        for array in (images, day_types, flats):
+            array.flags.writeable = False  # shared by every caller until the next update
 
-        for i, position in enumerate(ready_positions):
-            end = int(ends[i])
+        for i, (segment_id, end) in enumerate(zip(ready_segments, ends.tolist())):
             day_type = day_types[i]
             digest = hashlib.blake2b(digest_size=12)
             digest.update(end.to_bytes(8, "little", signed=True))
             digest.update(images[i].tobytes())
             digest.update(day_type.tobytes())
-            results[position] = WindowView(
-                segment_id=int(segments[i]),
+            memo[segment_id] = WindowView(
+                segment_id=int(segment_id),
                 end_step=end,
                 target_step=end + cfg.beta,
                 image=images[i],
                 day_type=day_type,
                 flat=flats[i],
                 fingerprint=digest.hexdigest(),
-                last_speed_kmh=float(last_speeds[i]),
+                last_speed_kmh=last_speeds[i],
             )
-        return results  # type: ignore[return-value]

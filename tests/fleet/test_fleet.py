@@ -8,6 +8,7 @@ schema-valid ``fleet_shard_lost`` event) instead of failing the fleet.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.fleet import FleetClosedError, FleetError, ForecastFleet
 from repro.obs import RunRecorder, validate_run_dir
 from repro.serving import (
     IncompleteWindowError,
+    InvalidObservationError,
     Observation,
     StaleObservationError,
     StreamGapError,
@@ -217,6 +219,22 @@ class TestStreamContract:
             # exactly where it left off.
             replay_ticks(fleet, tiny_series, [WARM_TICKS])
             assert fleet.predict_many([4])[0].source == "model"
+
+    def test_invalid_readings_rejected_before_any_mutation(self, fleet_checkpoint, tiny_series):
+        answers = []
+        for shards in (1, 2):
+            with ForecastFleet(fleet_checkpoint, tiny_series.num_segments, shards=shards) as fleet:
+                replay_ticks(fleet, tiny_series, range(WARM_TICKS))
+                batch = [
+                    observation_at(tiny_series, s, WARM_TICKS) for s in range(tiny_series.num_segments)
+                ]
+                batch[-1] = dataclasses.replace(batch[-1], speed_kmh=float("nan"))
+                with pytest.raises(InvalidObservationError, match="speed_kmh=nan"):
+                    fleet.ingest_many(batch)
+                replay_ticks(fleet, tiny_series, [WARM_TICKS])
+                answers.append(fleet.predict_many(list(range(tiny_series.num_segments))))
+        assert answers[0] == answers[1]
+        assert all(f.speed_kmh == f.speed_kmh for f in answers[0])  # no NaN served
 
     def test_closed_fleet_refuses_cleanly(self, fleet_checkpoint, tiny_series):
         fleet = ForecastFleet(fleet_checkpoint, tiny_series.num_segments)

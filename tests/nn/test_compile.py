@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.compile import CompiledFunction
+from repro.nn.compile import CompiledFunction, _matmul_shape
 
 # A trusted replay needs: 1 record call + 1 validate call.
 WARMUP_CALLS = 2
@@ -417,3 +417,13 @@ class TestInputGradsOnly:
             p.grad = None
         eager_reference(fn, arrays, grad_indices=(0,))
         assert all(p.grad is not None for p in net.parameters())
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((4, 5), (2, 5, 6)), ((2, 1, 3, 4), (5, 4, 2))],
+)
+def test_matmul_shape_matches_numpy(a, b):
+    # Backward rules pick in-place matmul from this shape, computed without
+    # multiplying arrays whose contents are arbitrary.
+    assert _matmul_shape(a, b) == np.matmul(np.zeros(a), np.zeros(b)).shape

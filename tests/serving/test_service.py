@@ -1,5 +1,6 @@
 """ForecastService: end-to-end serving, caching, degradation, hot swap."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -58,6 +59,29 @@ class TestCaching:
     def test_cache_can_be_bypassed(self, warm_service):
         warm_service.predict(4)
         assert not warm_service.predict(4, use_cache=False).from_cache
+
+    def test_hits_share_one_forecast_without_copying(self, warm_service):
+        miss = warm_service.predict_many([4, 5])
+        hits = [warm_service.predict_many([4, 5]) for _ in range(3)]
+        single = warm_service.predict(4)
+        for call in hits:
+            assert call[0] is hits[0][0] and call[1] is hits[0][1]
+        assert single is hits[0][0]
+        for first, hit in zip(miss, hits[0]):
+            assert not first.from_cache and hit.from_cache
+            assert hit == dataclasses.replace(first, from_cache=True)
+
+    def test_dashboard_calls_assemble_each_window_once_per_tick(self, warm_service, tiny_series):
+        servable = list(range(2, tiny_series.num_segments - 2))
+        for step in (15, 16):
+            replay(warm_service, tiny_series, [step])
+            before = warm_service.snapshot()["windows"]
+            calls = [warm_service.predict_many(servable) for _ in range(5)]
+            after = warm_service.snapshot()["windows"]
+            assert after["windows_assembled"] - before["windows_assembled"] == len(servable)
+            assert after["windows_reused"] - before["windows_reused"] == 4 * len(servable)
+            assert all(call == calls[1] for call in calls[2:])
+            assert [f.speed_kmh for f in calls[0]] == [f.speed_kmh for f in calls[1]]
 
 
 class TestDegradation:
@@ -144,7 +168,7 @@ class TestCheckpointServing:
         replay(service, tiny_series, range(15))
         before = service.predict(4)
         assert len(service.cache) == 1
-        service.load_checkpoint(tmp_path / "b")
+        service.swap_checkpoint(tmp_path / "b")
         assert len(service.cache) == 0  # stale forecasts dropped
         after = service.predict(4)
         assert after.speed_kmh != before.speed_kmh  # different weights serve
@@ -189,7 +213,7 @@ class TestCheckpointServing:
         )
         save_model(other, tmp_path / "bad")
         with pytest.raises(ValueError, match="geometry"):
-            warm_service.load_checkpoint(tmp_path / "bad")
+            warm_service.swap_checkpoint(tmp_path / "bad")
 
     def test_swap_rejects_scalerless_checkpoint(
         self, warm_service, served_model, tmp_path
@@ -200,7 +224,7 @@ class TestCheckpointServing:
         manifest.pop("scalers")
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="scaler state"):
-            warm_service.load_checkpoint(path)
+            warm_service.swap_checkpoint(path)
 
 
 class TestTelemetry:
