@@ -17,6 +17,7 @@ import numpy as np
 from .. import nn
 from ..data.features import FeatureConfig
 from .config import ModelSpec
+from .predictors import Predictor
 
 __all__ = ["AttentionPredictor", "SelfAttention"]
 
@@ -50,7 +51,7 @@ class SelfAttention(nn.Module):
             return nn.ops.softmax(scores, axis=-1).data
 
 
-class AttentionPredictor(nn.Module):
+class AttentionPredictor(Predictor):
     """A: attention over time, mean-pooled, with the persistence skip.
 
     Registered as predictor kind "A" (see ``repro.core.build_predictor``);
@@ -61,9 +62,8 @@ class AttentionPredictor(nn.Module):
     kind = "A"
 
     def __init__(self, features: FeatureConfig, spec: ModelSpec | None = None, rng=None):
-        super().__init__()
+        super().__init__(features)
         rng = rng if rng is not None else np.random.default_rng()
-        self.features = features
         width = spec.fc_widths[-1] if spec is not None else 64
         self.embed = nn.Linear(features.image_rows, width, rng=rng)
         self.attention = SelfAttention(width, width, rng=rng)
@@ -76,20 +76,3 @@ class AttentionPredictor(nn.Module):
         pooled = attended.mean(axis=1)
         last_speed = images[:, self.features.m, -1].reshape(-1, 1)
         return self.head(nn.ops.concat([pooled, day_types, last_speed], axis=1)).reshape(-1)
-
-    # The Predictor helpers are reused via duck typing in build_predictor;
-    # define them here to keep the same public contract.
-    def predict_arrays(self, images, day_types, flat):
-        return self.forward(nn.Tensor(images), nn.Tensor(day_types), nn.Tensor(flat))
-
-    def predict(self, images, day_types, flat, batch_size: int = 1024):
-        was_training = self.training
-        self.eval()
-        outputs = []
-        with nn.no_grad():
-            for start in range(0, len(flat), batch_size):
-                sl = slice(start, start + batch_size)
-                outputs.append(self.predict_arrays(images[sl], day_types[sl], flat[sl]).data)
-        if was_training:
-            self.train()
-        return np.concatenate(outputs) if outputs else np.array([])

@@ -58,12 +58,14 @@ class Predictor(nn.Module):
         was_training = self.training
         self.eval()
         outputs = []
-        with nn.no_grad():
-            for start in range(0, len(flat), batch_size):
-                sl = slice(start, start + batch_size)
-                outputs.append(self.predict_arrays(images[sl], day_types[sl], flat[sl]).data)
-        if was_training:
-            self.train()
+        try:
+            with nn.no_grad():
+                for start in range(0, len(flat), batch_size):
+                    sl = slice(start, start + batch_size)
+                    outputs.append(self.predict_arrays(images[sl], day_types[sl], flat[sl]).data)
+        finally:
+            if was_training:
+                self.train()
         return np.concatenate(outputs) if outputs else np.array([])
 
 

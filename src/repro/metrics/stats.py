@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["gain", "TTestResult", "paired_t_test"]
 
@@ -56,6 +55,10 @@ def paired_t_test(errors_a: np.ndarray, errors_b: np.ndarray) -> TTestResult:
         raise ValueError("paired t-test requires equally shaped inputs")
     if errors_a.size < 2:
         raise ValueError("paired t-test requires at least two pairs")
+    # Imported here: scipy.stats costs ~1 s and ~65 MB to load, and
+    # every serving process reaches this module through ``import repro``.
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.ttest_rel(errors_a, errors_b)
     return TTestResult(
         statistic=float(result.statistic),

@@ -898,6 +898,22 @@ def _generic_backward_step(node, g, gbufs, has, pindex, pruned):
 # ---------------------------------------------------------------------------
 
 
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _record_arrays(records):
+    """Every op output and replay-state array of a recording."""
+    for node, _, _, meta in records:
+        yield node.data
+        for value in (meta or {}).values():
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            yield from (v for v in values if isinstance(v, np.ndarray))
+
+
 class CompiledTape:
     """A recorded graph replayable into its own preallocated buffers.
 
@@ -924,6 +940,19 @@ class CompiledTape:
         self.input_grads_only = bool(input_grads_only) and not forward_only
         self._input_buffers = [t.data for t in self.inputs]
         self._grad_inputs = [t for t in self.inputs if t.requires_grad]
+        # An input whose memory no recorded array shares (e.g. the images
+        # of a model that only reads the flat features) cannot change an
+        # output: replay skips refreshing its buffer.
+        referenced = {id(_owner(array)) for array in _record_arrays(records)}
+        referenced.update(
+            id(_owner(parent.data)) for _, parents, _, _ in records for parent in parents
+        )
+        referenced.update(id(_owner(t.data)) for t in self.outputs)
+        self._refreshed = [
+            (index, buffer)
+            for index, buffer in enumerate(self._input_buffers)
+            if id(_owner(buffer)) in referenced
+        ]
 
         entries: list[tuple[str, Tensor, tuple, Callable]] = []
         for node, parents, op, meta in records:
@@ -947,6 +976,27 @@ class CompiledTape:
             self._order = self.outputs[0]._topological_order()
             self._pindex = {id(t): i for i, t in enumerate(self._order)}
             self._build_backward(records)
+        self.nbytes = self._retained_nbytes(records)
+
+    def _retained_nbytes(self, records) -> int:
+        """Bytes of the buffers this tape holds: inputs, op outputs, replay state, gradients.
+
+        Each array counts once, through the array that owns its memory;
+        arrays owned by leaves outside the tape (the model's parameters)
+        do not count.
+        """
+        nodes = {id(node) for node, _, _, _ in records}
+        nodes.update(id(t) for t in self.inputs)
+        external = {
+            id(_owner(parent.data))
+            for _, parents, _, _ in records
+            for parent in parents
+            if id(parent) not in nodes
+        }
+        arrays = [*self._input_buffers, *_record_arrays(records)]
+        arrays.extend(g for g in getattr(self, "_gbufs", ()) if g is not None)
+        owned = {id(root): root for root in map(_owner, arrays) if id(root) not in external}
+        return sum(root.nbytes for root in owned.values())
 
     def _build_backward(self, records) -> None:
         """Preallocate gradient buffers and compile the backward schedule.
@@ -1028,8 +1078,8 @@ class CompiledTape:
         """Refresh input buffers and replay the program in place."""
         if len(arrays) != len(self._input_buffers):
             raise ValueError(f"expected {len(self._input_buffers)} inputs, got {len(arrays)}")
-        for buffer, array in zip(self._input_buffers, arrays):
-            np.copyto(buffer, array)
+        for index, buffer in self._refreshed:
+            np.copyto(buffer, arrays[index])
         # Input leaves start each *run* fresh, exactly like newly-built
         # eager leaves.  (Parameter grads are deliberately left alone —
         # eager training steps own their zero_grad() calls.)
@@ -1189,6 +1239,17 @@ class CompiledFunction:
     def states(self) -> dict[tuple, str]:
         """Shape key → tape state, for tests and diagnostics."""
         return {key: entry.state for key, entry in self._entries.items()}
+
+    def tape_info(self) -> dict[tuple, dict]:
+        """Shape key → tape state, rejection reason and retained bytes."""
+        return {
+            key: {
+                "state": entry.state,
+                "reason": entry.reason,
+                "nbytes": entry.tape.nbytes if entry.tape is not None else 0,
+            }
+            for key, entry in self._entries.items()
+        }
 
     # -- execution paths ----------------------------------------------
     def _make_inputs(self, arrays, copy: bool) -> list[Tensor]:

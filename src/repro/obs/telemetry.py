@@ -94,10 +94,18 @@ class Telemetry:
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter())
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter()
+        return counter
 
     def histogram(self, name: str) -> Histogram:
-        return self._histograms.setdefault(name, Histogram())
+        # Looked up on every served request: build a Histogram (and its
+        # sample deque) only the first time a name is seen.
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram()
+        return histogram
 
     def snapshot(self) -> dict:
         return {

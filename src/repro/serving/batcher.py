@@ -18,12 +18,18 @@ the trade-off:
 
 Determinism: BLAS kernels pick different blocking for different batch
 shapes, so the *same* window forwarded alone and forwarded inside a
-batch of 60 can differ in the last ulp.  With ``pad_batches=True``
-(default) every forward is zero-padded to exactly ``max_batch_size``
-rows, which pins the kernel shape and makes each row's result
-independent of its co-riders — a forecast is bitwise identical whether
-it was served alone, inside a full batch, or recomputed after a cache
-miss.  The padding rows are discarded before results are assigned.
+batch of 60 can differ in the last ulp.  Every forward is therefore
+zero-padded to exactly ``max_batch_size`` rows, which pins the kernel
+shape and makes each row's result independent of its co-riders — a
+forecast is bitwise identical whether it was served alone, inside a
+full batch, or recomputed after a cache miss.  The padding rows are
+discarded before results are assigned.  One shape per batcher also
+means one compiled forward tape per served model.
+
+The padded batch is allocated once and reused: a flush writes its rows
+and zeroes only the rows the previous flush used that this one does
+not, so every forward still sees a batch equal to a fresh zero-padded
+one.  ``forward`` must not keep references to its inputs.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ class MicroBatcher:
         forward: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
         max_batch_size: int = 64,
         linger_seconds: float = 0.0,
-        pad_batches: bool = True,
         telemetry: Telemetry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -74,11 +79,14 @@ class MicroBatcher:
         self._forward = forward
         self.max_batch_size = max_batch_size
         self.linger_seconds = linger_seconds
-        self.pad_batches = pad_batches
         self._telemetry = telemetry
         self._clock = clock
         self._queue: list[PendingForecast] = []
         self._oldest: float | None = None
+        # The reused padded (images, day_types, flat) batch and how many
+        # leading rows of it hold windows rather than zeros.
+        self._batch: list[np.ndarray] | None = None
+        self._rows_used = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -118,21 +126,32 @@ class MicroBatcher:
             self._run(queue[start : start + self.max_batch_size])
         return len(queue)
 
+    def _padded_batch(self, view: WindowView) -> list[np.ndarray]:
+        """The reused zero-padded batch, reallocated only if the window shape changes."""
+        shapes = (view.image.shape, view.day_type.shape, view.flat.shape)
+        batch = self._batch
+        if batch is None or any(b.shape[1:] != shape for b, shape in zip(batch, shapes)):
+            batch = [np.zeros((self.max_batch_size, *shape)) for shape in shapes]
+            self._batch, self._rows_used = batch, 0
+        return batch
+
     def _run(self, chunk: list[PendingForecast]) -> None:
         size = len(chunk)
-        rows = self.max_batch_size if self.pad_batches else size
         views = [p.view for p in chunk]
-        inputs = []
-        for rows_of in (
-            [v.image for v in views],
-            [v.day_type for v in views],
-            [v.flat for v in views],
+        batch = self._padded_batch(views[0])
+        stale = self._rows_used
+        self._rows_used = max(stale, size)  # rows that may hold windows if a copy fails
+        for inputs, rows_of in zip(
+            batch,
+            ([v.image for v in views], [v.day_type for v in views], [v.flat for v in views]),
         ):
-            # One copy per input: the windows land in a zero-padded batch.
-            batch = np.zeros((rows, *rows_of[0].shape))
-            np.stack(rows_of, out=batch[:size])
-            inputs.append(batch)
-        predictions = np.asarray(self._forward(*inputs)).reshape(-1)[:size]
+            # One copy per input, straight into the padded batch; rows the
+            # last flush filled beyond this one go back to zero.
+            np.stack(rows_of, out=inputs[:size])
+            if stale > size:
+                inputs[size:stale] = 0.0
+        self._rows_used = size
+        predictions = np.asarray(self._forward(*batch)).reshape(-1)[:size]
         for pending, value in zip(chunk, predictions):
             pending.value = float(value)
             pending.done = True

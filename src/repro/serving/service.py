@@ -7,7 +7,8 @@ Wiring (one instance serves one corridor):
 * :meth:`ForecastService.predict` / :meth:`~ForecastService.predict_many`
   answer "what is segment s's speed ``beta`` ticks from now?" — cache
   first, then one coalesced forward through the
-  :class:`~repro.serving.batcher.MicroBatcher`;
+  :class:`~repro.serving.batcher.MicroBatcher`, replayed from the
+  model's compiled tape (:class:`~repro.serving.forward.ServedForward`);
 * :meth:`ForecastService.swap_checkpoint` hot-swaps the model mid-stream
   from a :mod:`repro.core.zoo` checkpoint (format v2+, which carries the
   fitted scalers); cache entries are namespaced by the serving model's
@@ -39,6 +40,7 @@ from ..data.features import FeatureScalers
 from .batcher import MicroBatcher, PendingForecast
 from .cache import ForecastCache
 from .errors import IncompleteWindowError
+from .forward import ServedForward
 from .state import Observation, SegmentStateStore, WindowView
 from ..obs.telemetry import Telemetry
 
@@ -73,8 +75,11 @@ class ForecastService:
         set (``fit()`` sets them; so does loading a format-v2 checkpoint).
     num_segments:
         Corridor length the observation stream indexes into.
-    max_batch_size, linger_seconds, pad_batches:
-        Micro-batching knobs (see :mod:`repro.serving.batcher`).
+    max_batch_size, linger_seconds:
+        Micro-batching knobs (see :mod:`repro.serving.batcher`); every
+        forward runs on a batch padded to ``max_batch_size`` rows,
+        replayed from the model's compiled tape (see
+        :mod:`repro.serving.forward`).
     cache_capacity, cache_ttl_seconds:
         Forecast cache sizing; TTL defaults to one 5-minute tick.
     interval_minutes, store_capacity:
@@ -107,7 +112,6 @@ class ForecastService:
         segment_range: tuple[int, int] | None = None,
         max_batch_size: int = 64,
         linger_seconds: float = 0.0,
-        pad_batches: bool = True,
         cache_capacity: int = 4096,
         cache_ttl_seconds: float = 300.0,
         interval_minutes: int = 5,
@@ -144,11 +148,11 @@ class ForecastService:
         self.cache = ForecastCache(
             capacity=cache_capacity, ttl_seconds=cache_ttl_seconds, clock=clock
         )
+        self._forward = ServedForward(model.predictor, telemetry=self.telemetry)
         self.batcher = MicroBatcher(
             self._forward,
             max_batch_size=max_batch_size,
             linger_seconds=linger_seconds,
-            pad_batches=pad_batches,
             telemetry=self.telemetry,
             clock=clock,
         )
@@ -167,9 +171,6 @@ class ForecastService:
     def fingerprint(self) -> str:
         """Weight fingerprint of the currently served model."""
         return self._fingerprint
-
-    def _forward(self, images: np.ndarray, day_types: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        return self._model.predictor.predict(images, day_types, flat)
 
     def _to_kmh(self, scaled: float) -> float:
         return float(self._scalers.speed.inverse_transform(np.asarray([scaled]))[0])
@@ -284,7 +285,7 @@ class ForecastService:
         self, key: tuple, view: WindowView, pending: PendingForecast, horizon: int, use_cache: bool
     ) -> Forecast:
         assert pending.done and pending.value is not None
-        forecast = Forecast(
+        fields = dict(
             segment_id=view.segment_id,
             target_step=view.target_step,
             horizon_steps=horizon,
@@ -295,8 +296,8 @@ class ForecastService:
         if use_cache:
             # The cache holds the answer as every hit returns it: one
             # immutable Forecast, shared rather than copied per hit.
-            self.cache.put(key, replace(forecast, from_cache=True))
-        return forecast
+            self.cache.put(key, Forecast(**fields, from_cache=True))
+        return Forecast(**fields)
 
     def predict(
         self, segment_id: int, horizon_steps: int | None = None, use_cache: bool = True
@@ -380,7 +381,9 @@ class ForecastService:
         Cache entries are keyed by the serving model's weight
         fingerprint, so old-champion values can never satisfy a
         post-swap lookup even if they survived; the cache is cleared
-        anyway — every old entry is dead weight.  Returns the new model.
+        anyway — every old entry is dead weight.  The old model's
+        compiled forward tape is dropped and the new model records its
+        own.  Returns the new model.
         """
         model = load_model(directory)
         if model.features != self._model.features:
@@ -396,6 +399,7 @@ class ForecastService:
         self._model = model
         self._scalers = model.scalers
         self._fingerprint = model_fingerprint(model)
+        self._forward.load(model.predictor)  # the old tape goes with the old model
         self.store.scalers = model.scalers
         self.cache.clear()
         self.telemetry.counter("checkpoint_swaps").inc()
@@ -412,6 +416,7 @@ class ForecastService:
         snap = self.telemetry.snapshot()
         snap["cache"] = self.cache.stats()
         snap["windows"] = self.store.stats()
+        snap["forward"] = self._forward.snapshot()
         snap["model"] = self._model.name
         snap["model_fingerprint"] = self._fingerprint
         snap["pending_requests"] = len(self.batcher)

@@ -23,7 +23,10 @@ reason it has none) is assembled at most once between two updates —
 an accepted ingest batch, a :meth:`~SegmentStateStore.reset_segment`
 or a scaler swap — and every later request returns the same read-only
 :class:`WindowView`.  Any update drops the whole memo, because one
-tick's context row feeds every window.
+tick's context row feeds every window.  Which requested windows are
+complete is decided by one vectorised mask over per-row step ranges
+that are also built once per update; only a rejected segment is
+diagnosed one by one, for its degradation message.
 
 Observations are validated strictly on ingest, a whole batch before any
 of it is committed: an observation that goes backwards raises
@@ -250,6 +253,19 @@ class SegmentStateStore:
         self._latest = np.full(num_segments, -1, dtype=np.int64)  # -1 = no data
         self._count = np.zeros(num_segments, dtype=np.int64)  # contiguous run length
         self._context = _ContextRing(capacity, width=6)
+        # Readiness: each segment's adjacent-row slots into the per-update
+        # row spans (see _ready_mask).  Slot n is a graph padding row, slot
+        # n + 1 a row off either corridor end.
+        m = features.m
+        if self._layout is None:
+            rows = np.arange(num_segments)[:, None] + np.arange(-m, m + 1)
+            rows[(rows < 0) | (rows >= num_segments)] = num_segments + 1
+        else:
+            rows = np.where(self._layout.rows_array >= 0, self._layout.rows_array, num_segments)
+        self._readiness_rows = rows
+        self._window_offsets = np.arange(-(features.alpha - 1), 1)  # steps of a window, to its end
+        self._row_offsets = np.arange(-m, m + 1)  # corridor rows of a window, to its segment
+        self._spans: tuple[np.ndarray, np.ndarray] | None = None
         # Per-update window memo: segment -> WindowView | IncompleteWindowError.
         self._windows: dict[int, WindowView | IncompleteWindowError] = {}
         self.updates = 0  # accepted ingest batches, resets and scaler swaps
@@ -269,6 +285,7 @@ class SegmentStateStore:
     def _updated(self) -> None:
         """Drop every memoised window: the state they were assembled from moved."""
         self._windows.clear()
+        self._spans = None
         self.updates += 1
 
     def stats(self) -> dict:
@@ -437,6 +454,43 @@ class SegmentStateStore:
             )
         return None
 
+    def _ready_mask(self, segments: np.ndarray) -> np.ndarray:
+        """Per segment, whether :meth:`_readiness_error` would find nothing wrong.
+
+        A window ending at ``end`` is complete exactly when every adjacent
+        row's stream reached ``end`` and its contiguous run spans back
+        ``alpha`` steps from it — ``latest - count + alpha <= end <=
+        latest`` — and the context ring covers it, a range of the same
+        form.  The segment's own row is one of its rows, so its own
+        ``alpha`` observations are the same condition.  The per-row
+        ranges, context folded in, are built once per update; a window
+        is then ready when its end lies in the intersection of its rows'
+        ranges.
+        """
+        span = self._spans
+        if span is None:
+            span = self._spans = self._row_spans()
+        lo, hi = span
+        rows = self._readiness_rows[segments]  # (B, R) slots into lo / hi
+        ends = self._latest[segments]
+        return (lo[rows].max(axis=1) <= ends) & (ends <= hi[rows].min(axis=1))
+
+    def _row_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row slot, the window end steps it can serve: ``lo[r] <= end <= hi[r]``."""
+        n, alpha = self.num_segments, self.features.alpha
+        big = np.iinfo(np.int64).max
+        lo = np.empty(n + 2, dtype=np.int64)
+        hi = np.empty(n + 2, dtype=np.int64)
+        ctx = self._context
+        if ctx.latest is None:
+            lo[:n], hi[:n] = big, -big  # no context yet: nothing is servable
+        else:
+            np.maximum(self._latest - self._count + alpha, ctx.latest - ctx.count + alpha, out=lo[:n])
+            np.minimum(self._latest, ctx.latest, out=hi[:n])
+        lo[n], hi[n] = -big, big  # graph padding row: no constraint
+        lo[n + 1], hi[n + 1] = big, -big  # off a corridor end: never servable
+        return lo, hi
+
     def window(self, segment_id: int) -> WindowView:
         """One segment's window, or raise :class:`IncompleteWindowError`."""
         result = self.windows_many([segment_id])[0]
@@ -482,39 +536,51 @@ class SegmentStateStore:
         cfg = self.features
         alpha, m = cfg.alpha, cfg.m
         memo = self._windows
-        ready_segments: list[int] = []
-        for segment_id in segment_ids:
-            self._check_segment(segment_id)
-            error = self._readiness_error(segment_id)
-            if error is not None:
-                memo[segment_id] = error
-            else:
+        if min(segment_ids) < 0 or max(segment_ids) >= self.num_segments:
+            for segment_id in segment_ids:
+                self._check_segment(segment_id)
+        requested = np.asarray(segment_ids, dtype=np.int64)
+        ready = self._ready_mask(requested)
+        ready_segments = []
+        for segment_id, servable in zip(segment_ids, ready.tolist()):
+            if servable:
                 ready_segments.append(segment_id)
+                continue
+            # Only a rejected segment pays for the per-segment diagnosis.
+            error = self._readiness_error(segment_id)
+            assert error is not None, f"readiness mask rejected servable segment {segment_id}"
+            memo[segment_id] = error
         if not ready_segments:
             return
 
-        segments = np.asarray(ready_segments, dtype=np.int64)
+        segments = requested[ready]
         ends = self._latest[segments]  # (B,)
-        steps = ends[:, None] + np.arange(-(alpha - 1), 1)[None, :]  # (B, alpha)
+        steps = ends[:, None] + self._window_offsets  # (B, alpha)
         idx = steps % self._capacity
         if self._layout is None:
-            rows = segments[:, None] + np.arange(-m, m + 1)[None, :]  # (B, 2m+1)
+            rows = segments[:, None] + self._row_offsets  # (B, 2m+1)
             gather_rows = rows
         else:
             rows = self._layout.rows_array[segments]  # (B, num_rows), -1 = padding
             gather_rows = np.maximum(rows, 0)  # padding rows read row 0, zeroed below
-
         adj_kmh = self._speed_data[gather_rows[:, :, None], idx[:, None, :]]  # (B, R, alpha)
-        event = self._event_data[segments[:, None], idx]  # (B, alpha)
         context = self._context.data[idx]  # (B, alpha, 6)
 
-        adj = self.scalers.speed.transform(adj_kmh)
+        # One (B, flat_dim) allocation: each flat row is its image's rows
+        # followed by the day-type bits, and the images are views into it.
+        num_rows = rows.shape[1]
+        flats = np.empty((len(ready_segments), cfg.flat_dim))
+        images = flats[:, : cfg.image_rows * alpha].reshape(-1, cfg.image_rows, alpha, copy=False)
+        day_types = flats[:, cfg.image_rows * alpha :]  # (B, 4)
+        adj = images[:, :num_rows]
+        adj[:] = self.scalers.speed.transform(adj_kmh)
         if self._layout is not None:
             adj[rows < 0] = 0.0  # offline rule: zero padding after scaling
-        temp = self.scalers.temperature.transform(context[:, :, _CTX_TEMP])
-        precip = self.scalers.precipitation.transform(context[:, :, _CTX_PRECIP])
-        hour = self._hours(steps) / 23.0
-        day_types = context[:, -1, _CTX_DAY].copy()  # (B, 4)
+        images[:, num_rows] = self._event_data[segments[:, None], idx]
+        images[:, num_rows + 1] = self.scalers.temperature.transform(context[:, :, _CTX_TEMP])
+        images[:, num_rows + 2] = self.scalers.precipitation.transform(context[:, :, _CTX_PRECIP])
+        images[:, num_rows + 3] = self._hours(steps) / 23.0
+        day_types[:] = context[:, -1, _CTX_DAY]
 
         mask = cfg.mask
         if not mask.adjacent:
@@ -522,35 +588,26 @@ class SegmentStateStore:
             adj[:] = 0.0
             adj[:, m, :] = keep
         if not mask.event:
-            event = np.zeros_like(event)
+            images[:, num_rows] = 0.0
         if not mask.weather:
-            temp = np.zeros_like(temp)
-            precip = np.zeros_like(precip)
+            images[:, num_rows + 1 : num_rows + 3] = 0.0
         if not mask.time:
-            hour = np.zeros_like(hour)
-            day_types = np.zeros_like(day_types)
-
-        images = np.concatenate(
-            [adj, event[:, None, :], temp[:, None, :], precip[:, None, :], hour[:, None, :]],
-            axis=1,
-        )  # (B, image_rows, alpha)
-        flats = np.concatenate([images.reshape(len(segments), -1), day_types], axis=1)
+            images[:, num_rows + 3] = 0.0
+            day_types[:] = 0.0
         last_speeds = adj_kmh[:, m, -1].tolist()
-        for array in (images, day_types, flats):
+        for array in (flats, images, day_types):
             array.flags.writeable = False  # shared by every caller until the next update
 
         for i, (segment_id, end) in enumerate(zip(ready_segments, ends.tolist())):
-            day_type = day_types[i]
-            digest = hashlib.blake2b(digest_size=12)
-            digest.update(end.to_bytes(8, "little", signed=True))
-            digest.update(images[i].tobytes())
-            digest.update(day_type.tobytes())
+            # The flat row is the image bytes then the day-type bytes.
+            digest = hashlib.blake2b(end.to_bytes(8, "little", signed=True), digest_size=12)
+            digest.update(flats[i])
             memo[segment_id] = WindowView(
                 segment_id=int(segment_id),
                 end_step=end,
                 target_step=end + cfg.beta,
                 image=images[i],
-                day_type=day_type,
+                day_type=day_types[i],
                 flat=flats[i],
                 fingerprint=digest.hexdigest(),
                 last_speed_kmh=last_speeds[i],

@@ -285,6 +285,19 @@ class TestSnapshotAggregation:
             )
             assert fleet.snapshot()["gate_quarantined_total"] >= 1
 
+    def test_replica_snapshots_show_the_forward_path(self, fleet_checkpoint, tiny_series):
+        with ForecastFleet(fleet_checkpoint, tiny_series.num_segments, shards=2) as fleet:
+            replay_ticks(fleet, tiny_series, range(12))
+            queried = [3, tiny_series.num_segments - 4]  # one owned segment per shard
+            assert {fleet.shard_map.shard_of(s) for s in queried} == {0, 1}
+            for _ in range(5):  # record, validate twice, then replay
+                fleet.predict_many(queried, use_cache=False)
+            for replica in fleet.snapshot()["replicas"]:
+                forward = replica["forward"]
+                assert forward["path"] == "replay" and forward["tape"] == "trusted"
+                assert forward["replay"] == 2 and forward["tape_nbytes"] > 0
+                assert replica["counters"].get("forward_tape_rejected", 0) == 0
+
     def test_local_fleet_snapshot_has_one_full_range_replica(
         self, fleet_checkpoint, tiny_series
     ):

@@ -364,6 +364,50 @@ class TestForwardOnly:
         assert bitwise(run.outputs[0].data, expected)
 
 
+class TestInputRefresh:
+    """Replay refreshes exactly the inputs whose memory a recorded array shares."""
+
+    @staticmethod
+    def refreshed(cf):
+        (entry,) = cf._entries.values()
+        return [index for index, _ in entry.tape._refreshed]
+
+    def test_unread_input_is_skipped_and_outputs_stay_exact(self):
+        net = make_mlp([3, 4, 1], seed=5)
+        cf = CompiledFunction(lambda unread, x: net(x).reshape(-1), forward_only=True)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            unread, x = rng.random((2, 5)), rng.random((2, 3))
+            run = cf(unread, x)
+            with nn.no_grad():
+                assert bitwise(run.outputs[0].data, net(nn.Tensor(x)).reshape(-1).data)
+        assert run.mode == "replay" and self.refreshed(cf) == [1]
+
+    def test_input_read_through_an_alias_is_refreshed(self):
+        # A loss reads its target through .detach(): a new leaf sharing
+        # the input's memory, so the input itself is no op's parent.
+        cf = CompiledFunction(lambda x, target: ((x - target.detach()) ** 2).sum(), grad_indices=(0,))
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            x, target = rng.random(4), rng.random(4)
+            run = cf(x, target)
+            run.backward()
+            assert bitwise(run.outputs[0].data, ((x - target) ** 2).sum())
+            assert bitwise(run.input_grad(0), 2.0 * (x - target))
+        assert run.mode == "replay" and self.refreshed(cf) == [0, 1]
+
+    def test_tape_reports_retained_bytes(self):
+        net = make_mlp([3, 4, 1], seed=5)
+        cf = CompiledFunction(lambda x: net(x).reshape(-1), forward_only=True)
+        cf(np.ones((2, 3)))
+        ((key, info),) = cf.tape_info().items()
+        assert key == ((2, 3),) and info["state"] == "validating" and info["reason"] is None
+        # The input copy (2x3), the hidden matmul/add/relu outputs (3 x 2x4),
+        # the relu mask (2x4 bool) and the output matmul/add (2 x 2x1); the
+        # module's parameters and the reshape view are not the tape's.
+        assert info["nbytes"] == 6 * 8 + 3 * 8 * 8 + 8 + 2 * 2 * 8
+
+
 class TestInputGradsOnly:
     """Pruned tapes: input grads bitwise, param grads untouched on replay."""
 

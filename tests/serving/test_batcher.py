@@ -1,4 +1,4 @@
-"""MicroBatcher: coalescing, chunking, linger, canonical padding."""
+"""MicroBatcher: coalescing, chunking, linger, canonical padding, batch reuse."""
 
 import numpy as np
 import pytest
@@ -104,17 +104,30 @@ class TestPadding:
         batcher.flush()
         assert pending.value == pytest.approx(view.flat.sum())
 
-    def test_unpadded_mode(self):
+    def test_reused_batch_equals_fresh_zero_padding(self):
+        # A 5-row flush, then a 2-row flush: the second forward must see
+        # exactly the batch a fresh zero-padded allocation would give, so
+        # rows 2..4 left over from the first flush are zeroed again.
         seen = []
 
-        def recording_forward(images, day_types, flat):
-            seen.append(flat.shape[0])
+        def copying_forward(images, day_types, flat):
+            seen.append([images.copy(), day_types.copy(), flat.copy()])
             return flat.sum(axis=1)
 
-        batcher = MicroBatcher(recording_forward, max_batch_size=16, pad_batches=False)
-        batcher.submit(make_view(0))
-        batcher.flush()
-        assert seen == [1]
+        batcher = MicroBatcher(copying_forward, max_batch_size=8)
+        for chunk in ([make_view(i) for i in range(5)], [make_view(i) for i in (7, 8)]):
+            pendings = [batcher.submit(view) for view in chunk]
+            batcher.flush()
+            fresh = [
+                np.zeros((8, 5, 4)),
+                np.zeros((8, 4)),
+                np.zeros((8, 24)),
+            ]
+            for row, view in enumerate(chunk):
+                fresh[0][row], fresh[1][row], fresh[2][row] = view.image, view.day_type, view.flat
+            for got, want in zip(seen[-1], fresh):
+                assert got.tobytes() == want.tobytes()
+            assert [p.value for p in pendings] == fresh[2][: len(chunk)].sum(axis=1).tolist()
 
 
 class TestValidation:

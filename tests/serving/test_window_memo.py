@@ -96,8 +96,13 @@ def state_of(store: SegmentStateStore) -> tuple:
 
 
 def fresh_windows(store: SegmentStateStore) -> list:
-    """Every segment's window assembled from scratch, bypassing the memo."""
+    """Every segment's window assembled from scratch, bypassing the memo.
+
+    The oracle store's state moves under ``legacy_ingest`` without a store
+    update, so its per-update readiness spans are dropped as well.
+    """
     store._windows.clear()
+    store._spans = None
     return store.windows_many(list(range(store.num_segments)))
 
 
@@ -210,6 +215,70 @@ class TestBatchedIngestOracle:
         count = store.ingest_many(observation_at(tiny_series, s, 0) for s in range(3))
         assert count == 3 and store.latest_step(2) == 0
         assert store.ingest_many([]) == 0
+
+
+#: Which readiness rule an IncompleteWindowError message reports.
+_REASONS = {
+    "neighbours on each side": "edge",
+    "consecutive observations": "count",
+    "lags it": "lag",
+    "context channels incomplete": "context",
+}
+
+
+def reason_of(error: IncompleteWindowError) -> str:
+    return next(kind for text, kind in _REASONS.items() if text in str(error))
+
+
+class TestReadinessMask:
+    """The vectorised readiness mask against the per-segment diagnosis."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mask_matches_per_segment_diagnosis(self, case, seed):
+        series, config, _ = case
+        rng = np.random.default_rng(seed)
+        store = new_store(case)
+        everything = list(range(series.num_segments))
+        seen = set()
+
+        def check() -> None:
+            expected = [store._readiness_error(s) for s in everything]
+            assert store._ready_mask(np.asarray(everything)).tolist() == [
+                error is None for error in expected
+            ]
+            # Query in a shuffled order so the memo is filled out of order.
+            order = rng.permutation(everything).tolist()
+            for segment, served in zip(order, store.windows_many(order)):
+                error = expected[segment]
+                if error is None:
+                    assert not isinstance(served, IncompleteWindowError), str(served)
+                    seen.add("ready")
+                else:
+                    assert isinstance(served, IncompleteWindowError)
+                    assert str(served) == str(error)  # word for word
+                    seen.add(reason_of(error))
+
+        check()  # an empty store: no context yet
+        for op, arg in random_session(rng, series, ticks=2 * config.alpha, clean_ticks=config.alpha):
+            if op == "ingest":
+                store.ingest_many(arg)
+            else:
+                store.reset_segment(arg)
+            check()
+        # A context gap: one feed restarts three ticks ahead of the rest, so
+        # the context ring no longer covers the others' windows.
+        restarted = int(rng.integers(series.num_segments))
+        ahead = int(store.latest_step(restarted)) + 3
+        store.reset_segment(restarted)
+        check()
+        store.ingest(random_reading(rng, series, restarted, ahead))
+        check()
+
+        assert {"ready", "count", "lag", "context"} <= seen
+        if isinstance(config, GraphFeatureConfig):
+            assert (config.layout.rows_array < 0).any()  # padding rows were exercised
+        else:
+            assert "edge" in seen
 
 
 class TestMemo:

@@ -16,6 +16,11 @@ covered end to end:
   benchmarking nothing, so the smoke also asserts trusted replays
   happened.
 
+A fourth check covers serving: a :class:`repro.serving.ForecastService`
+must end up replaying a trusted forward tape, and every forecast it
+serves must equal eager ``Predictor.predict`` on the same zero-padded
+batch, bitwise.
+
 The compile layer validates each tape against an eager shadow run
 before trusting it, so a broken replay rule surfaces here as either a
 parity failure or a zero-replay failure — never as silently wrong
@@ -35,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro import APOTS  # noqa: E402
 from repro.core import (  # noqa: E402
     APOTSTrainer,
     Discriminator,
@@ -42,8 +48,10 @@ from repro.core import (  # noqa: E402
     build_predictor,
     table1_spec,
 )
+from repro.core.config import ScalePreset  # noqa: E402
 from repro.core.trainer import SupervisedTrainer  # noqa: E402
 from repro.data import FeatureConfig, TrafficDataset  # noqa: E402
+from repro.serving import ForecastService, Observation  # noqa: E402
 from repro.traffic import SimulationConfig, simulate  # noqa: E402
 
 SEED = 7
@@ -112,7 +120,46 @@ def run_smoke() -> list[str]:
     if apots_keys[False] != apots_keys[True]:
         failures.append("apots: compiled fit diverged bitwise from eager")
 
+    failures.extend(serving_smoke(series, dataset))
     return failures
+
+
+def serving_smoke(series, dataset) -> list[str]:
+    """Served forecasts replay a trusted tape and equal eager predict, bitwise."""
+    preset = ScalePreset(
+        name="smoke", num_days=6, width_factor=0.05, epochs=1,
+        adversarial_epochs=1, batch_size=64, max_steps_per_epoch=4,
+    )
+    model = APOTS("F", adversarial=False, preset=preset, seed=SEED).fit(dataset)
+    service = ForecastService(model, series.num_segments)
+    m, alpha = model.features.m, model.features.alpha
+    segments = list(range(m, series.num_segments - m))
+    speed = model.scalers.speed
+    rows = service.batcher.max_batch_size
+    for step in range(alpha + 5):
+        service.ingest_many(
+            Observation(
+                segment, step, float(series.speeds[segment, step]),
+                float(series.events[segment, step]), float(series.temperature[step]),
+                float(series.precipitation[step]), tuple(series.day_types[step]),
+            )
+            for segment in range(series.num_segments)
+        )
+        if step + 1 < alpha:
+            continue
+        served = [f.speed_kmh for f in service.predict_many(segments, use_cache=False)]
+        views = service.store.windows_many(segments)
+        first = views[0]
+        batch = [np.zeros((rows, *a.shape)) for a in (first.image, first.day_type, first.flat)]
+        for row, view in enumerate(views):
+            batch[0][row], batch[1][row], batch[2][row] = view.image, view.day_type, view.flat
+        scaled = model.predictor.predict(*batch)[: len(views)]
+        if served != [float(speed.inverse_transform(np.asarray([v]))[0]) for v in scaled]:
+            return [f"serving: step {step} forecasts diverged bitwise from eager predict"]
+    forward = service.snapshot()["forward"]
+    if forward["tape"] != "trusted" or forward["path"] != "replay":
+        return [f"serving: forward never replayed a trusted tape ({forward})"]
+    return []
 
 
 def main() -> int:
@@ -122,7 +169,10 @@ def main() -> int:
         for line in failures:
             print(f"  - {line}")
         return 1
-    print("compile smoke OK: compiled training/attack paths are bitwise-eager and replay tapes")
+    print(
+        "compile smoke OK: compiled training/attack/serving paths are bitwise-eager "
+        "and replay tapes"
+    )
     return 0
 
 
