@@ -120,6 +120,10 @@ class PerturbationGate:
             step = last[0] if last is not None else until
         return step < until
 
+    def quarantined_segments(self) -> list[int | str]:
+        """Every segment inside its quarantine window, sorted."""
+        return sorted(sid for sid in self._quarantined_until if self.is_quarantined(sid))
+
     def safe_speed(self, segment_id: int | str) -> float | None:
         """Last reading accepted outside quarantine (None if never)."""
         return self._last_trusted.get(segment_id)
@@ -130,9 +134,7 @@ class PerturbationGate:
             "checks": self._checks,
             "hits": self._hits,
             "hits_by_reason": dict(self._hits_by_reason),
-            "quarantined_segments": sorted(
-                sid for sid in self._quarantined_until if self.is_quarantined(sid)
-            ),
+            "quarantined_segments": self.quarantined_segments(),
         }
 
     def reset(self) -> None:

@@ -30,6 +30,14 @@ The padded batch is allocated once and reused: a flush writes its rows
 and zeroes only the rows the previous flush used that this one does
 not, so every forward still sees a batch equal to a fresh zero-padded
 one.  ``forward`` must not keep references to its inputs.
+
+Padding fill: because a row's result does not depend on its co-riders,
+the rows a short chunk would pad may carry other windows instead, at no
+extra forward.  A flush given a ``fill`` asks it for at most the spare
+rows of each short chunk (``fill.take(spare)`` returns an
+``(images, day_types, flat)`` block, or ``None``), forwards them in the
+same batch and hands their values back as one array
+(``fill.give(values)``); no :class:`PendingForecast` is made for them.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ __all__ = ["PendingForecast", "MicroBatcher"]
 
 
 class PendingForecast:
-    """A submitted request; ``value`` (scaled) is set once flushed."""
+    """A submitted request; ``value`` is set once flushed."""
 
     __slots__ = ("view", "value", "done")
 
@@ -61,7 +69,11 @@ class MicroBatcher:
 
     ``forward`` maps ``(images, day_types, flat)`` batches to a (B,)
     array of scaled predictions.  It is looked up per flush, so the
-    service can hot-swap the model underneath.
+    service can hot-swap the model underneath.  ``output`` maps a
+    forward's real rows to the values served, in one call per forward
+    (the service passes its speed scaler's ``inverse_transform``, so
+    values are km/h); it must work elementwise, so a row's value does
+    not depend on the others.  By default values are the predictions.
     """
 
     def __init__(
@@ -71,12 +83,14 @@ class MicroBatcher:
         linger_seconds: float = 0.0,
         telemetry: Telemetry | None = None,
         clock: Callable[[], float] = time.monotonic,
+        output: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         if linger_seconds < 0:
             raise ValueError("linger_seconds cannot be negative")
         self._forward = forward
+        self.output = output
         self.max_batch_size = max_batch_size
         self.linger_seconds = linger_seconds
         self._telemetry = telemetry
@@ -118,12 +132,17 @@ class MicroBatcher:
         return self._oldest is not None and self._clock() - self._oldest >= self.linger_seconds
 
     # ------------------------------------------------------------------
-    def flush(self) -> int:
-        """Run every queued request through the model; returns the count."""
+    def flush(self, fill=None) -> int:
+        """Run every queued request through the model; returns the count.
+
+        With ``fill``, each chunk short of ``max_batch_size`` rows also
+        carries the fill's block in its spare rows (see the module
+        docstring).
+        """
         queue, self._queue = self._queue, []
         self._oldest = None
         for start in range(0, len(queue), self.max_batch_size):
-            self._run(queue[start : start + self.max_batch_size])
+            self._run(queue[start : start + self.max_batch_size], fill)
         return len(queue)
 
     def _padded_batch(self, view: WindowView) -> list[np.ndarray]:
@@ -135,25 +154,35 @@ class MicroBatcher:
             self._batch, self._rows_used = batch, 0
         return batch
 
-    def _run(self, chunk: list[PendingForecast]) -> None:
+    def _run(self, chunk: list[PendingForecast], fill) -> None:
         size = len(chunk)
         views = [p.view for p in chunk]
         batch = self._padded_batch(views[0])
+        block = None
+        if fill is not None and size < self.max_batch_size:
+            block = fill.take(self.max_batch_size - size)
+        rows = size if block is None else size + len(block[2])
         stale = self._rows_used
-        self._rows_used = max(stale, size)  # rows that may hold windows if a copy fails
-        for inputs, rows_of in zip(
+        self._rows_used = max(stale, rows)  # rows that may hold windows if a copy fails
+        for inputs, rows_of, filled in zip(
             batch,
             ([v.image for v in views], [v.day_type for v in views], [v.flat for v in views]),
+            block if block is not None else (None, None, None),
         ):
             # One copy per input, straight into the padded batch; rows the
             # last flush filled beyond this one go back to zero.
             np.stack(rows_of, out=inputs[:size])
-            if stale > size:
-                inputs[size:stale] = 0.0
-        self._rows_used = size
-        predictions = np.asarray(self._forward(*batch)).reshape(-1)[:size]
-        for pending, value in zip(chunk, predictions):
-            pending.value = float(value)
+            if filled is not None:
+                inputs[size:rows] = filled
+            if stale > rows:
+                inputs[rows:stale] = 0.0
+        self._rows_used = rows
+        predictions = np.asarray(self._forward(*batch)).reshape(-1)[:rows]
+        values = predictions if self.output is None else self.output(predictions)
+        for pending, value in zip(chunk, values[:size].tolist()):
+            pending.value = value
             pending.done = True
+        if block is not None:
+            fill.give(values[size:])
         if self._telemetry is not None:
-            self._telemetry.histogram("batch_size").observe(float(size))
+            self._telemetry.histogram("batch_size").observe(float(rows))

@@ -8,7 +8,10 @@ Wiring (one instance serves one corridor):
   answer "what is segment s's speed ``beta`` ticks from now?" — cache
   first, then one coalesced forward through the
   :class:`~repro.serving.batcher.MicroBatcher`, replayed from the
-  model's compiled tape (:class:`~repro.serving.forward.ServedForward`);
+  model's compiled tape (:class:`~repro.serving.forward.ServedForward`),
+  whose spare padding rows carry the shard's other ready windows
+  (:class:`PaddingFill`) so later misses in the same update need no
+  forward;
 * :meth:`ForecastService.swap_checkpoint` hot-swaps the model mid-stream
   from a :mod:`repro.core.zoo` checkpoint (format v2+, which carries the
   fitted scalers); cache entries are namespaced by the serving model's
@@ -37,7 +40,7 @@ from ..attacks.defense import PerturbationGate
 from ..core.model import APOTS
 from ..core.zoo import load_model, model_fingerprint
 from ..data.features import FeatureScalers
-from .batcher import MicroBatcher, PendingForecast
+from .batcher import MicroBatcher
 from .cache import ForecastCache
 from .errors import IncompleteWindowError
 from .forward import ServedForward
@@ -65,6 +68,81 @@ class Forecast:
     model_fingerprint: str | None = None
 
 
+class PaddingFill:
+    """Puts a short flush's padding rows to work, and keeps what they forecast.
+
+    A cached flush of ``k < max_batch_size`` requests would forward
+    ``max_batch_size - k`` rows of zeros.  Because the padding makes
+    each row's result independent of its co-riders, those rows may
+    carry other windows instead, and their forecasts are bitwise what an
+    on-demand forward would give.  The first fill of a store update
+    lists, with one readiness mask, the owned segments whose window is
+    complete and reads no gate-quarantined segment.  Each flush then
+    takes the next of them in ascending id from a cursor, passing over
+    any whose window has been read or assembled since the update (it was
+    forecast or answered from the cache); the store assembles the chosen
+    windows in one pass, at most one batch per flush.  The km/h
+    forecasts land in a table that a later cache miss in the same
+    update reads instead of queuing a forward.  The list, cursor and
+    table belong to one store update: the next one (or :meth:`reset`,
+    on a checkpoint swap) starts them afresh.
+
+    Holds the store, the gate and the telemetry but not the service, so
+    the service's objects form no reference cycle.
+    """
+
+    __slots__ = (
+        "_store", "_gate", "_telemetry", "_range", "_update", "_candidates", "_next", "_kmh", "_taken"
+    )
+
+    def __init__(
+        self,
+        store: SegmentStateStore,
+        segment_range: tuple[int, int],
+        gate: PerturbationGate | None,
+        telemetry: Telemetry,
+    ):
+        self._store, self._gate, self._telemetry = store, gate, telemetry
+        self._range = segment_range
+        self._taken: list[int] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Start the cursor and the table afresh, for the store's current update."""
+        self._update = self._store.updates
+        self._candidates: np.ndarray | None = None  # found by the update's first fill
+        self._next = 0  # the cursor: candidates before it were filled or read
+        self._kmh: dict[int, float] = {}
+
+    def lookup(self, segment_id: int) -> float | None:
+        """The km/h forecast a fill made for this segment in the current update, if any."""
+        if self._update != self._store.updates:
+            return None
+        return self._kmh.get(segment_id)
+
+    def take(self, spare: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Up to ``spare`` fill windows as an ``(images, day_types, flat)`` block."""
+        if self._update != self._store.updates:
+            self.reset()
+        if self._candidates is None:
+            # Quarantine moves only when an ingest is screened, a store update.
+            quarantined = self._gate.quarantined_segments() if self._gate is not None else []
+            avoid = np.asarray(quarantined, dtype=np.int64) if quarantined else None
+            self._candidates = self._store.ready_segments(*self._range, avoid)
+        used, segments, block = self._store.fill_windows(self._candidates[self._next :], spare)
+        self._next += used
+        if block is None:
+            return None
+        self._taken = segments.tolist()
+        self._telemetry.counter("fill_rows").inc(len(segments))
+        return block.images, block.day_types, block.flats
+
+    def give(self, kmh: np.ndarray) -> None:
+        """Record the forecasts of the block :meth:`take` returned last."""
+        self._kmh.update(zip(self._taken, kmh.tolist()))
+        self._taken = []
+
+
 class ForecastService:
     """Online forecast serving for one corridor and one APOTS model.
 
@@ -79,7 +157,9 @@ class ForecastService:
         Micro-batching knobs (see :mod:`repro.serving.batcher`); every
         forward runs on a batch padded to ``max_batch_size`` rows,
         replayed from the model's compiled tape (see
-        :mod:`repro.serving.forward`).
+        :mod:`repro.serving.forward`).  With the cache on, the padding
+        rows carry owned windows nobody asked for yet
+        (:class:`PaddingFill`).
     cache_capacity, cache_ttl_seconds:
         Forecast cache sizing; TTL defaults to one 5-minute tick.
     interval_minutes, store_capacity:
@@ -133,7 +213,6 @@ class ForecastService:
                 f"of the corridor 0..{num_segments}"
             )
         self._model = model
-        self._scalers = scalers
         self._fingerprint = model_fingerprint(model)
         self.gate = gate
         self.segment_range = (int(lo), int(hi))
@@ -155,7 +234,9 @@ class ForecastService:
             linger_seconds=linger_seconds,
             telemetry=self.telemetry,
             clock=clock,
+            output=scalers.speed.inverse_transform,
         )
+        self._fill = PaddingFill(self.store, self.segment_range, gate, self.telemetry)
 
     @classmethod
     def from_checkpoint(cls, directory: str | Path, num_segments: int, **kwargs) -> "ForecastService":
@@ -171,9 +252,6 @@ class ForecastService:
     def fingerprint(self) -> str:
         """Weight fingerprint of the currently served model."""
         return self._fingerprint
-
-    def _to_kmh(self, scaled: float) -> float:
-        return float(self._scalers.speed.inverse_transform(np.asarray([scaled]))[0])
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -253,7 +331,7 @@ class ForecastService:
     def _resolve(
         self, segment_id: int, horizon: int, use_cache: bool
     ) -> tuple[Forecast | None, tuple | None, WindowView | None]:
-        """Answer from cache/degradation, or return the window to batch."""
+        """Answer from cache/fill/degradation, or return the window to batch."""
         self.telemetry.counter("requests").inc()
         beta = self._model.features.beta
         if horizon < 1:
@@ -279,17 +357,19 @@ class ForecastService:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached, None, None
+            filled = self._fill.lookup(segment_id)
+            if filled is not None:
+                self.telemetry.counter("fill_served").inc()
+                return self._complete(key, view, filled, horizon, True), None, None
         return None, key, view
 
-    def _complete(
-        self, key: tuple, view: WindowView, pending: PendingForecast, horizon: int, use_cache: bool
-    ) -> Forecast:
-        assert pending.done and pending.value is not None
+    def _complete(self, key: tuple, view: WindowView, kmh: float, horizon: int, use_cache: bool) -> Forecast:
+        """The model's answer for a window; a cached call also caches it."""
         fields = dict(
             segment_id=view.segment_id,
             target_step=view.target_step,
             horizon_steps=horizon,
-            speed_kmh=self._to_kmh(pending.value),
+            speed_kmh=kmh,
             source="model",
             model_fingerprint=self._fingerprint,
         )
@@ -309,8 +389,8 @@ class ForecastService:
         if forecast is None:
             pending = self.batcher.submit(view)
             if not pending.done:
-                self.batcher.flush()
-            forecast = self._complete(key, view, pending, horizon, use_cache)
+                self.batcher.flush(self._fill if use_cache else None)
+            forecast = self._complete(key, view, pending.value, horizon, use_cache)
         self.telemetry.histogram("predict_latency_ms").observe(
             (time.perf_counter() - start) * 1e3
         )
@@ -324,8 +404,10 @@ class ForecastService:
     ) -> list[Forecast]:
         """Forecast many segments with one coalesced forward pass.
 
-        Results are returned in request order; cache hits and degraded
-        requests never enter the batcher.
+        Results are returned in request order; cache hits, forecasts a
+        padding fill already made and degraded requests never enter the
+        batcher.  A forecast served from a fill is a cache miss: it is
+        returned with ``from_cache=False`` and then cached.
         """
         start = time.perf_counter()
         horizon = horizon_steps if horizon_steps is not None else self._model.features.beta
@@ -348,6 +430,8 @@ class ForecastService:
             fingerprint = self._fingerprint
             gated = self.gate is not None
             cache_get = self.cache.get
+            filled_kmh = self._fill.lookup
+            served_from_fill = 0
             for position, (segment_id, view) in enumerate(zip(segment_ids, windows)):
                 if gated and self._gate_quarantined(segment_id):
                     results[position] = self._gate_naive(segment_id, horizon)
@@ -361,10 +445,17 @@ class ForecastService:
                     if cached is not None:
                         results[position] = cached
                         continue
+                    filled = filled_kmh(segment_id)
+                    if filled is not None:
+                        results[position] = self._complete(key, view, filled, horizon, True)
+                        served_from_fill += 1
+                        continue
                 queued.append((position, key, view, self.batcher.submit(view)))
-        self.batcher.flush()
+            if served_from_fill:
+                self.telemetry.counter("fill_served").inc(served_from_fill)
+        self.batcher.flush(self._fill if use_cache else None)
         for position, key, view, pending in queued:
-            results[position] = self._complete(key, view, pending, horizon, use_cache)
+            results[position] = self._complete(key, view, pending.value, horizon, use_cache)
         self.telemetry.histogram("predict_many_latency_ms").observe(
             (time.perf_counter() - start) * 1e3
         )
@@ -397,10 +488,11 @@ class ForecastService:
                 "needs the fitted scalers to transform raw observations"
             )
         self._model = model
-        self._scalers = model.scalers
         self._fingerprint = model_fingerprint(model)
         self._forward.load(model.predictor)  # the old tape goes with the old model
+        self.batcher.output = model.scalers.speed.inverse_transform
         self.store.scalers = model.scalers
+        self._fill.reset()  # the old model's fill forecasts go too
         self.cache.clear()
         self.telemetry.counter("checkpoint_swaps").inc()
         return model
@@ -417,6 +509,9 @@ class ForecastService:
         snap["cache"] = self.cache.stats()
         snap["windows"] = self.store.stats()
         snap["forward"] = self._forward.snapshot()
+        rows = int(snap["counters"].get("fill_rows", 0))
+        served = int(snap["counters"].get("fill_served", 0))
+        snap["fill"] = {"rows": rows, "served": served, "served_ratio": served / rows if rows else 0.0}
         snap["model"] = self._model.name
         snap["model_fingerprint"] = self._fingerprint
         snap["pending_requests"] = len(self.batcher)

@@ -26,7 +26,15 @@ or a scaler swap — and every later request returns the same read-only
 tick's context row feeds every window.  Which requested windows are
 complete is decided by one vectorised mask over per-row step ranges
 that are also built once per update; only a rejected segment is
-diagnosed one by one, for its degradation message.
+diagnosed one by one, for its degradation message.  Scaled speeds are
+likewise computed once per update, for every row at once, and windows
+gather their rows from them.
+
+:meth:`SegmentStateStore.fill_windows` assembles a block of windows
+nobody has asked for yet, for a forward's spare padding rows (see
+:class:`repro.serving.service.PaddingFill`).  They join the memo
+lazily: a filled window's :class:`WindowView` and fingerprint are built
+only when a request reads it.
 
 Observations are validated strictly on ingest, a whole batch before any
 of it is committed: an observation that goes backwards raises
@@ -266,8 +274,13 @@ class SegmentStateStore:
         self._window_offsets = np.arange(-(features.alpha - 1), 1)  # steps of a window, to its end
         self._row_offsets = np.arange(-m, m + 1)  # corridor rows of a window, to its segment
         self._spans: tuple[np.ndarray, np.ndarray] | None = None
-        # Per-update window memo: segment -> WindowView | IncompleteWindowError.
+        # Per-update window memo: segment -> WindowView | IncompleteWindowError,
+        # plus the fill windows not read yet (segment -> block and row), and
+        # which segments either holds.
         self._windows: dict[int, WindowView | IncompleteWindowError] = {}
+        self._filled: dict[int, tuple[WindowBlock, int]] = {}
+        self._memoised = np.zeros(num_segments, dtype=bool)
+        self._scaled: dict[int, np.ndarray] = {}  # per update: end step -> scaled speed rows
         self.updates = 0  # accepted ingest batches, resets and scaler swaps
         self.windows_assembled = 0
         self.windows_reused = 0
@@ -285,6 +298,9 @@ class SegmentStateStore:
     def _updated(self) -> None:
         """Drop every memoised window: the state they were assembled from moved."""
         self._windows.clear()
+        self._filled.clear()
+        self._memoised[:] = False
+        self._scaled.clear()
         self._spans = None
         self.updates += 1
 
@@ -294,7 +310,7 @@ class SegmentStateStore:
             "updates": self.updates,
             "windows_assembled": self.windows_assembled,
             "windows_reused": self.windows_reused,
-            "windows_memoised": len(self._windows),
+            "windows_memoised": len(self._windows) + len(self._filled),
         }
 
     # ------------------------------------------------------------------
@@ -517,8 +533,11 @@ class SegmentStateStore:
             results = [memo[segment_id] for segment_id in segment_ids]
         except KeyError:
             missing = [s for s in dict.fromkeys(segment_ids) if s not in memo]
-            self._assemble(missing)
-            self.windows_assembled += len(missing)
+            if self._filled:
+                missing = [s for s in missing if not self._build_filled(s)]
+            if missing:
+                self._assemble(missing)
+                self.windows_assembled += len(missing)
             results = [memo[segment_id] for segment_id in segment_ids]
             self.windows_reused += len(results) - len(missing)
         else:
@@ -526,20 +545,13 @@ class SegmentStateStore:
         return results
 
     def _assemble(self, segment_ids: list[int]) -> None:
-        """Assemble distinct segments' windows with vectorised gathers into the memo.
-
-        Mirrors :func:`repro.data.features.build_features` exactly: the
-        adjacent-speed rows span ``segment_id - m .. segment_id + m``,
-        followed by the event / temperature / precipitation / hour rows,
-        with the factor mask's zero-filling applied.
-        """
-        cfg = self.features
-        alpha, m = cfg.alpha, cfg.m
+        """Assemble distinct segments' windows with vectorised gathers into the memo."""
         memo = self._windows
         if min(segment_ids) < 0 or max(segment_ids) >= self.num_segments:
             for segment_id in segment_ids:
                 self._check_segment(segment_id)
         requested = np.asarray(segment_ids, dtype=np.int64)
+        self._memoised[requested] = True
         ready = self._ready_mask(requested)
         ready_segments = []
         for segment_id, servable in zip(segment_ids, ready.tolist()):
@@ -552,30 +564,88 @@ class SegmentStateStore:
             memo[segment_id] = error
         if not ready_segments:
             return
+        block = self._gather(requested[ready])
+        for row, segment_id in enumerate(ready_segments):
+            memo[segment_id] = block.view(row, segment_id)
 
-        segments = requested[ready]
+    def ready_segments(self, start: int, stop: int, avoid: np.ndarray | None = None) -> np.ndarray:
+        """The segments of ``[start, stop)`` whose window is complete and reads none of ``avoid``.
+
+        Ascending, from one readiness mask; valid until the next update.
+        """
+        segments = np.arange(start, stop, dtype=np.int64)
+        ready = self._ready_mask(segments)
+        if avoid is not None and len(avoid):
+            ready &= ~np.isin(self._readiness_rows[segments], avoid).any(axis=1)
+        return segments[ready]
+
+    def fill_windows(
+        self, candidates: np.ndarray, limit: int
+    ) -> tuple[int, np.ndarray, "WindowBlock | None"]:
+        """Assemble the first ``limit`` of ``candidates`` whose window nobody has read yet.
+
+        A padding fill: the windows ride in a short forward's spare rows.
+        ``candidates`` come from :meth:`ready_segments` in the current
+        update; those whose window has been read or assembled since the
+        update are passed over.  The chosen windows are assembled in one
+        vectorised pass, as a block, and memoised lazily: a window's
+        :class:`WindowView` and fingerprint are built only when a request
+        reads it, and equal what :meth:`windows_many` would have built.
+        Returns how many candidates this used up, the chosen segments and
+        their block (``None`` when there are none).
+        """
+        unread = np.flatnonzero(~self._memoised[candidates])[:limit]
+        used = int(unread[-1]) + 1 if len(unread) == limit else len(candidates)
+        if not len(unread):
+            return used, unread, None
+        chosen = candidates[unread]
+        block = self._gather(chosen)
+        self._memoised[chosen] = True
+        self._filled.update(
+            (segment_id, (block, row)) for row, segment_id in enumerate(chosen.tolist())
+        )
+        self.windows_assembled += len(chosen)
+        return used, chosen, block
+
+    def _build_filled(self, segment_id: int) -> bool:
+        """Turn a lazily memoised fill window into its view; False if there is none."""
+        entry = self._filled.pop(segment_id, None)
+        if entry is None:
+            return False
+        block, row = entry
+        self._windows[segment_id] = block.view(row, segment_id)
+        return True
+
+    def _gather(self, segments: np.ndarray) -> "WindowBlock":
+        """Ready segments' windows, assembled together into one read-only block.
+
+        Mirrors :func:`repro.data.features.build_features` exactly: the
+        adjacent-speed rows span ``segment_id - m .. segment_id + m``,
+        followed by the event / temperature / precipitation / hour rows,
+        with the factor mask's zero-filling applied.
+        """
+        cfg = self.features
+        alpha, m = cfg.alpha, cfg.m
         ends = self._latest[segments]  # (B,)
         steps = ends[:, None] + self._window_offsets  # (B, alpha)
         idx = steps % self._capacity
         if self._layout is None:
             rows = segments[:, None] + self._row_offsets  # (B, 2m+1)
-            gather_rows = rows
         else:
             rows = self._layout.rows_array[segments]  # (B, num_rows), -1 = padding
-            gather_rows = np.maximum(rows, 0)  # padding rows read row 0, zeroed below
-        adj_kmh = self._speed_data[gather_rows[:, :, None], idx[:, None, :]]  # (B, R, alpha)
-        context = self._context.data[idx]  # (B, alpha, 6)
+            rows = np.where(rows >= 0, rows, self.num_segments)  # padding reads the zero row
+        context = self._context.data.take(idx, axis=0)  # (B, alpha, 6)
 
         # One (B, flat_dim) allocation: each flat row is its image's rows
         # followed by the day-type bits, and the images are views into it.
         num_rows = rows.shape[1]
-        flats = np.empty((len(ready_segments), cfg.flat_dim))
+        flats = np.empty((len(segments), cfg.flat_dim))
         images = flats[:, : cfg.image_rows * alpha].reshape(-1, cfg.image_rows, alpha, copy=False)
         day_types = flats[:, cfg.image_rows * alpha :]  # (B, 4)
         adj = images[:, :num_rows]
-        adj[:] = self.scalers.speed.transform(adj_kmh)
-        if self._layout is not None:
-            adj[rows < 0] = 0.0  # offline rule: zero padding after scaling
+        for end in np.unique(ends).tolist():
+            at = ends == end
+            adj[at] = self._scaled_speeds(end).take(rows[at], axis=0)
         images[:, num_rows] = self._event_data[segments[:, None], idx]
         images[:, num_rows + 1] = self.scalers.temperature.transform(context[:, :, _CTX_TEMP])
         images[:, num_rows + 2] = self.scalers.precipitation.transform(context[:, :, _CTX_PRECIP])
@@ -594,21 +664,57 @@ class SegmentStateStore:
         if not mask.time:
             images[:, num_rows + 3] = 0.0
             day_types[:] = 0.0
-        last_speeds = adj_kmh[:, m, -1].tolist()
         for array in (flats, images, day_types):
             array.flags.writeable = False  # shared by every caller until the next update
+        last_speeds = self._speed_data[segments, idx[:, -1]].tolist()
+        return WindowBlock(images, day_types, flats, ends.tolist(), last_speeds, cfg.beta)
 
-        for i, (segment_id, end) in enumerate(zip(ready_segments, ends.tolist())):
-            # The flat row is the image bytes then the day-type bytes.
-            digest = hashlib.blake2b(end.to_bytes(8, "little", signed=True), digest_size=12)
-            digest.update(flats[i])
-            memo[segment_id] = WindowView(
-                segment_id=int(segment_id),
-                end_step=end,
-                target_step=end + cfg.beta,
-                image=images[i],
-                day_type=day_types[i],
-                flat=flats[i],
-                fingerprint=digest.hexdigest(),
-                last_speed_kmh=last_speeds[i],
-            )
+    def _scaled_speeds(self, end: int) -> np.ndarray:
+        """Every row's scaled speeds over the ``alpha`` steps ending at ``end``, and a zero row.
+
+        Built once per update and end step, then shared by every window
+        ending there.  Scaling is elementwise, so scaling the rows before
+        gathering them gives the bits that scaling each window would;
+        the appended zero row is the offline rule for graph padding, zero
+        after scaling.  A row whose stream does not hold those steps
+        holds garbage, which no complete window reads.  Complete windows
+        end within ``capacity - alpha`` steps of the context's latest, so
+        an update builds at most that many plus one of these.
+        """
+        scaled = self._scaled.get(end)
+        if scaled is None:
+            idx = (end + self._window_offsets) % self._capacity
+            scaled = np.zeros((self.num_segments + 1, self.features.alpha))
+            scaled[:-1] = self.scalers.speed.transform(self._speed_data[:, idx])
+            self._scaled[end] = scaled
+        return scaled
+
+
+class WindowBlock:
+    """Several segments' windows assembled together: row ``i`` of each array is one window.
+
+    ``images`` and ``day_types`` are views into ``flats``, all read-only.
+    """
+
+    __slots__ = ("images", "day_types", "flats", "_ends", "_last_speeds", "_beta")
+
+    def __init__(self, images, day_types, flats, ends: list[int], last_speeds: list[float], beta: int):
+        self.images, self.day_types, self.flats = images, day_types, flats
+        self._ends, self._last_speeds, self._beta = ends, last_speeds, beta
+
+    def view(self, row: int, segment_id: int) -> WindowView:
+        """Row ``row`` as a :class:`WindowView`, fingerprint included."""
+        end = self._ends[row]
+        # The flat row is the image bytes then the day-type bytes.
+        digest = hashlib.blake2b(end.to_bytes(8, "little", signed=True), digest_size=12)
+        digest.update(self.flats[row])
+        return WindowView(
+            segment_id=int(segment_id),
+            end_step=end,
+            target_step=end + self._beta,
+            image=self.images[row],
+            day_type=self.day_types[row],
+            flat=self.flats[row],
+            fingerprint=digest.hexdigest(),
+            last_speed_kmh=self._last_speeds[row],
+        )

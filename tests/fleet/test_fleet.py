@@ -298,6 +298,18 @@ class TestSnapshotAggregation:
                 assert forward["replay"] == 2 and forward["tape_nbytes"] > 0
                 assert replica["counters"].get("forward_tape_rejected", 0) == 0
 
+    def test_replica_snapshots_show_the_fill(self, fleet_checkpoint, tiny_series):
+        with ForecastFleet(fleet_checkpoint, tiny_series.num_segments, shards=2) as fleet:
+            replay_ticks(fleet, tiny_series, range(12))
+            asked = [2, tiny_series.num_segments - 3]  # one servable segment per shard
+            assert {fleet.shard_map.shard_of(s) for s in asked} == {0, 1}
+            fleet.predict_many(asked)  # each replica fills its other servable segments
+            fleet.predict_many([3, 4])  # ...and serves these from those fills
+            for replica in fleet.snapshot()["replicas"]:
+                fill = replica["fill"]
+                assert fill["rows"] > 0 and fill["served"] == 1
+                assert fill["served_ratio"] == fill["served"] / fill["rows"]
+
     def test_local_fleet_snapshot_has_one_full_range_replica(
         self, fleet_checkpoint, tiny_series
     ):

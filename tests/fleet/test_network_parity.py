@@ -10,6 +10,7 @@ graph-aware partition changed serving results, which it must never do.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import APOTS
@@ -177,3 +178,16 @@ class TestGraphWindowParity:
         reference = single.predict_many(query, use_cache=False)
         assert two.predict_many(query, use_cache=False) == reference
         assert four.predict_many(query, use_cache=False) == reference
+
+    def test_sparse_cached_calls_with_fills_match_one_shard(self, city, graph_fleets, city_series):
+        # Cached 2-segment calls: each replica forward carries fill rows,
+        # and later calls read those forecasts instead of forwarding.
+        for fleet in graph_fleets:
+            replay_ticks(fleet, city_series, [WARM_TICKS + 2])
+        single, two, four = graph_fleets
+        calls = np.random.default_rng(7).permutation(len(city))[:80].reshape(40, 2).tolist()
+        reference = [single.predict_many(call, use_cache=False) for call in calls]
+        for fleet in (two, four):
+            assert [fleet.predict_many(call) for call in calls] == reference
+            for replica in fleet.snapshot()["replicas"]:
+                assert replica["fill"]["served"] > 0

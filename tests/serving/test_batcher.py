@@ -1,4 +1,4 @@
-"""MicroBatcher: coalescing, chunking, linger, canonical padding, batch reuse."""
+"""MicroBatcher: coalescing, chunking, linger, canonical padding, batch reuse, padding fill."""
 
 import numpy as np
 import pytest
@@ -128,6 +128,100 @@ class TestPadding:
             for got, want in zip(seen[-1], fresh):
                 assert got.tobytes() == want.tobytes()
             assert [p.value for p in pendings] == fresh[2][: len(chunk)].sum(axis=1).tolist()
+
+
+class BlockFill:
+    """A padding fill over fixed views: offers them as blocks and keeps what comes back."""
+
+    def __init__(self, views):
+        self.views, self.spares, self.given = list(views), [], []
+
+    def take(self, spare):
+        self.spares.append(spare)
+        block, self.views = self.views[:spare], self.views[spare:]
+        if not block:
+            return None
+        return tuple(np.stack([getattr(v, name) for v in block]) for name in ("image", "day_type", "flat"))
+
+    def give(self, values):
+        self.given.append(np.array(values))
+
+
+def padded(views, rows: int) -> list[np.ndarray]:
+    """A fresh zero-padded (images, day_types, flat) batch holding ``views`` first."""
+    batch = [np.zeros((rows, 5, 4)), np.zeros((rows, 4)), np.zeros((rows, 24))]
+    for row, view in enumerate(views):
+        batch[0][row], batch[1][row], batch[2][row] = view.image, view.day_type, view.flat
+    return batch
+
+
+class TestFill:
+    def test_fill_block_rides_in_the_spare_rows(self):
+        seen = []
+
+        def copying_forward(images, day_types, flat):
+            seen.append([images.copy(), day_types.copy(), flat.copy()])
+            return flat.sum(axis=1)
+
+        telemetry = Telemetry()
+        batcher = MicroBatcher(copying_forward, max_batch_size=8, telemetry=telemetry)
+        requests = [make_view(i) for i in range(3)]
+        extra = [make_view(i) for i in range(10, 14)]
+        fill = BlockFill(extra)
+        pendings = [batcher.submit(view) for view in requests]
+        batcher.flush(fill)
+        assert fill.spares == [5]
+        want = padded(requests + extra, 8)
+        for got, expected in zip(seen[0], want):
+            assert got.tobytes() == expected.tobytes()
+        sums = want[2].sum(axis=1)
+        assert [p.value for p in pendings] == sums[:3].tolist()
+        assert [g.tolist() for g in fill.given] == [sums[3:7].tolist()]  # one array for the block
+        assert telemetry.histogram("batch_size").maximum == 7
+
+        # Shorter flushes, with a smaller fill and then none, see exactly
+        # fresh zero padding after their rows.
+        smaller = [make_view(i) for i in (20, 21)]
+        for fill in (BlockFill(smaller), None):
+            for view in requests[:2]:
+                batcher.submit(view)
+            batcher.flush(fill)
+            rows = requests[:2] + (smaller if fill is not None else [])
+            for got, expected in zip(seen[-1], padded(rows, 8)):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_an_empty_fill_leaves_the_padding(self):
+        seen = []
+
+        def recording_forward(images, day_types, flat):
+            seen.append(flat.copy())
+            return flat.sum(axis=1)
+
+        batcher = MicroBatcher(recording_forward, max_batch_size=4)
+        fill = BlockFill([])
+        view = make_view(0)
+        pending = batcher.submit(view)
+        batcher.flush(fill)
+        assert fill.spares == [3] and fill.given == []
+        assert seen[0].tobytes() == padded([view], 4)[2].tobytes()
+        assert pending.value == view.flat.sum()
+
+    def test_output_maps_each_forward_once(self):
+        calls = []
+
+        def doubled(values):
+            calls.append(len(values))
+            return values * 2.0
+
+        batcher = MicroBatcher(sum_forward, max_batch_size=8, output=doubled)
+        requests, extra = [make_view(i) for i in range(3)], [make_view(i) for i in (10, 11)]
+        fill = BlockFill(extra)
+        pendings = [batcher.submit(view) for view in requests]
+        batcher.flush(fill)
+        assert calls == [5]
+        sums = padded(requests + extra, 8)[2].sum(axis=1) * 2.0
+        assert [p.value for p in pendings] == sums[:3].tolist()
+        assert fill.given[0].tolist() == sums[3:5].tolist()
 
 
 class TestValidation:

@@ -99,10 +99,10 @@ def fresh_windows(store: SegmentStateStore) -> list:
     """Every segment's window assembled from scratch, bypassing the memo.
 
     The oracle store's state moves under ``legacy_ingest`` without a store
-    update, so its per-update readiness spans are dropped as well.
+    update, so every per-update cache (memo, readiness spans, scaled
+    speed rows) is dropped as an update would drop it.
     """
-    store._windows.clear()
-    store._spans = None
+    store._updated()
     return store.windows_many(list(range(store.num_segments)))
 
 
@@ -279,6 +279,64 @@ class TestReadinessMask:
             assert (config.layout.rows_array < 0).any()  # padding rows were exercised
         else:
             assert "edge" in seen
+
+
+class TestFill:
+    """Padding-fill windows: listed by readiness, assembled as a block, memoised lazily."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_filled_views_equal_assembled_ones(self, case, seed):
+        series, config, _ = case
+        rng = np.random.default_rng(seed)
+        store, oracle = new_store(case), new_store(case)
+        everything = list(range(series.num_segments))
+        filled = 0
+        for op, arg in random_session(rng, series, ticks=3 * config.alpha, clean_ticks=config.alpha + 1):
+            for target in (store, oracle):
+                target.ingest_many(arg) if op == "ingest" else target.reset_segment(arg)
+            store.windows_many(rng.choice(everything, size=3).tolist())  # read before the fill
+            candidates = store.ready_segments(0, series.num_segments)
+            assert candidates.tolist() == [s for s in everything if store._readiness_error(s) is None]
+            _, chosen, _ = store.fill_windows(candidates, int(rng.integers(1, 8)))
+            filled += len(chosen)
+            for served, expected in zip(store.windows_many(everything), fresh_windows(oracle)):
+                assert_same_window(served, expected)  # fingerprints included
+        assert filled > 0
+
+    def test_fill_passes_over_read_windows(self, tiny_series, tiny_dataset):
+        store = SegmentStateStore(
+            tiny_series.num_segments, tiny_dataset.config, tiny_dataset.features.scalers
+        )
+        replay(store, tiny_series, range(tiny_dataset.config.alpha))
+        first = store.window(3)
+        candidates = store.ready_segments(0, tiny_series.num_segments)
+        assert candidates.tolist() == [2, 3, 4, 5, 6]
+        used, chosen, block = store.fill_windows(candidates, 2)
+        assert (used, chosen.tolist(), len(block.flats)) == (3, [2, 4], 2)
+        used, chosen, block = store.fill_windows(candidates[used:], 5)
+        assert (used, chosen.tolist(), len(block.flats)) == (2, [5, 6], 2)
+        assert store.fill_windows(candidates, 5)[1].tolist() == []  # all read or filled
+        before = store.stats()
+        assert before["windows_assembled"] == 5 and before["windows_memoised"] == 5
+        views = store.windows_many([2, 3, 2])
+        assert views[1] is first and views[0] is views[2]
+        after = store.stats()
+        assert after["windows_assembled"] == before["windows_assembled"]  # a filled window is reused
+        assert after["windows_reused"] - before["windows_reused"] == 3
+
+    def test_ready_segments_avoid_windows_reading_a_segment(self, case):
+        series, config, _ = case
+        store = new_store(case)
+        replay(store, series, range(config.alpha))
+        everything = store.ready_segments(0, series.num_segments).tolist()
+        avoid = 1
+        if isinstance(config, GraphFeatureConfig):
+            reads = {s for s in everything if avoid in config.layout.valid_rows(s)}
+        else:
+            reads = {s for s in everything if abs(s - avoid) <= config.m}
+        assert reads and len(reads) < len(everything)
+        kept = store.ready_segments(0, series.num_segments, np.array([avoid]))
+        assert kept.tolist() == [s for s in everything if s not in reads]
 
 
 class TestMemo:

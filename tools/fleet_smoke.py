@@ -6,7 +6,10 @@ Two checks, both against live replica processes:
 1. **Shard parity** — a 2-shard :class:`ForecastFleet` must answer a
    mixed ``predict_many`` batch bitwise-identically to the process-free
    ``shards=1`` fleet built from the same checkpoint and fed the same
-   stream.
+   stream.  A sparse pass then makes cached 2-segment calls after one
+   more ingest: they must equal the ``shards=1`` fleet's uncached
+   answers bitwise, and every replica must have served some of them
+   from its padding fill (``fill_served`` above 0).
 2. **Crash degradation** — after ``kill_replica`` hard-exits one
    replica, the lost shard's segments must come back as degraded naive
    persistence (never an exception, never a hang), the surviving shard
@@ -73,18 +76,35 @@ def _make_checkpoint(series, directory: str) -> str:
 
 def check_shard_parity(checkpoint: str, series) -> None:
     query = [4, 0, 7, 2, 2, 8, 5, 1, 3, 6, 4]
-    with ForecastFleet(checkpoint, series.num_segments, shards=1) as single:
-        _replay(single, series, range(WARM_TICKS))
+    with ForecastFleet(checkpoint, series.num_segments, shards=1) as single, ForecastFleet(
+        checkpoint, series.num_segments, shards=2
+    ) as sharded:
+        for fleet in (single, sharded):
+            _replay(fleet, series, range(WARM_TICKS))
         reference = single.predict_many(query)
-    with ForecastFleet(checkpoint, series.num_segments, shards=2) as sharded:
-        _replay(sharded, series, range(WARM_TICKS))
         answers = sharded.predict_many(query)
-    assert answers == reference, (
-        "2-shard fleet diverged from the process-free fleet:\n"
-        f"  shards=1: {reference}\n  shards=2: {answers}"
-    )
-    assert [f.segment_id for f in answers] == query, "request order not preserved"
-    print(f"shard parity: OK ({len(query)} queries, shards 1 == 2, order preserved)")
+        assert answers == reference, (
+            "2-shard fleet diverged from the process-free fleet:\n"
+            f"  shards=1: {reference}\n  shards=2: {answers}"
+        )
+        assert [f.segment_id for f in answers] == query, "request order not preserved"
+        print(f"shard parity: OK ({len(query)} queries, shards 1 == 2, order preserved)")
+
+        # Sparse pass: after one ingest, cached 2-segment calls.  Each
+        # replica's first forward fills its spare rows with its other
+        # ready windows, and later calls are answered from those fills.
+        for fleet in (single, sharded):
+            _replay(fleet, series, [WARM_TICKS])
+        calls = [[2, 6], [3, 5], [4, 8]]
+        reference = [single.predict_many(call, use_cache=False) for call in calls]
+        answers = [sharded.predict_many(call) for call in calls]
+        assert answers == reference, (
+            "cached sparse calls on the 2-shard fleet diverged from uncached shards=1:\n"
+            f"  shards=1: {reference}\n  shards=2: {answers}"
+        )
+        served = [replica["fill"]["served"] for replica in sharded.snapshot()["replicas"]]
+        assert all(count > 0 for count in served), f"replicas served nothing from fills: {served}"
+    print(f"sparse parity: OK ({len(calls)} cached calls == uncached shards=1, fill_served {served})")
 
 
 def check_crash_degradation(checkpoint: str, series) -> None:
