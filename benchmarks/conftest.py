@@ -8,16 +8,21 @@ Set ``REPRO_BENCH_PRESET=medium`` for paper-shaped numbers (slower).
 Each run leaves two artefacts next to this file:
 
 * ``last_run_report.txt`` — the rendered paper artefacts (human-readable);
-* ``BENCH_<preset>.json`` — machine-readable per-test timings (from
-  pytest-benchmark's stats) plus any custom metrics benches record via
-  :func:`record_metric`, stamped with preset / seed / timestamp, so the
-  perf trajectory across PRs can be diffed and plotted.
+* ``BENCH_<preset>.json`` — a ledger of machine-readable per-test
+  timings (from pytest-benchmark's stats) plus any custom metrics
+  benches record via :func:`record_metric`.  A run merges its entries
+  into the existing file by test name, so running one bench file keeps
+  every other bench's last figures.  Each entry is stamped with the git
+  commit it ran at (``-dirty`` when the tree had uncommitted changes)
+  and its timestamp, so the perf trajectory across commits can be
+  diffed and plotted.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -69,6 +74,36 @@ def _stats_of(bench) -> dict:
     return out
 
 
+def _git_revision() -> str | None:
+    """The checkout's commit (``-dirty`` if modified), or None outside git."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
+def _merge_ledger(path: Path, tests: dict[str, dict]) -> dict:
+    """The ledger at ``path`` with ``tests`` replacing same-named entries."""
+    try:
+        ledger = json.loads(path.read_text())
+    except (OSError, ValueError):
+        ledger = {}
+    merged = dict(ledger.get("tests", {}))
+    merged.update(tests)
+    return {
+        "preset": BENCH_PRESET,
+        "seed": BENCH_SEED,
+        "timestamp": time.time(),
+        "tests": merged,
+    }
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_report(request):
     REPORT_PATH.write_text(
@@ -84,19 +119,13 @@ def _fresh_report(request):
             tests[name] = _stats_of(bench)
     for name, metrics in _CUSTOM_METRICS.items():
         tests.setdefault(name, {}).update(metrics)
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "preset": BENCH_PRESET,
-                "seed": BENCH_SEED,
-                "timestamp": time.time(),
-                "tests": tests,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    if not tests:
+        return
+    stamp = {"git_sha": _git_revision(), "timestamp": time.time()}
+    for entry in tests.values():
+        entry.update(stamp)
+    ledger = _merge_ledger(JSON_PATH, tests)
+    JSON_PATH.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
 
 
 def report(text: str) -> None:

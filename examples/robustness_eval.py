@@ -1,7 +1,7 @@
 """Adversarial robustness: attack a checkpointed model, then gate it.
 
 Trains a small APOTS model on simulated corridor traffic, saves it with
-the zoo (format v2, scalers included), reloads the checkpoint the way a
+the zoo (scalers included), reloads the checkpoint the way a
 red team would receive it, and attacks the held-out test windows with a
 physically plausible PGD perturbation at three epsilon budgets —
 printing the clean-vs-attacked error table per traffic regime.  A

@@ -1,7 +1,7 @@
 """Online serving: train a model, checkpoint it, serve a live stream.
 
 Trains a small APOTS model on simulated corridor traffic, saves it with
-the zoo (format v2, scalers included), rebuilds a
+the zoo (scalers included), rebuilds a
 :class:`repro.serving.ForecastService` from the checkpoint alone, then
 replays the held-out final day as an observation stream — printing live
 forecasts against what actually happened, and the telemetry snapshot an

@@ -78,7 +78,7 @@ class Attack:
             raise ValueError(
                 "attack needs the model's fitted feature scalers to map the "
                 "km/h attack surface onto scaled inputs; fit() the model or "
-                "load a format-v2 checkpoint"
+                "load a fitted model's checkpoint"
             )
         self.scalers = scalers
         self.num_roads = num_roads

@@ -64,22 +64,16 @@ def input_gradient(predictor, images: np.ndarray, day_types: np.ndarray,
         )
     images = np.asarray(images, dtype=np.float64)
     day_types = np.asarray(day_types, dtype=np.float64)
-    was_training = predictor.training
-    predictor.eval()
-    try:
-        images_t = nn.Tensor(images, requires_grad=True)
-        day_t = nn.Tensor(day_types)
-        flat_t = nn.ops.concat([images_t.reshape(images.shape[0], -1), day_t], axis=1)
-        predictions = predictor.forward(images_t, day_t, flat_t)
-        if targets is None:
-            objective = predictions.sum()
-        else:
-            residual = predictions - nn.Tensor(np.asarray(targets, dtype=np.float64))
-            objective = (residual * residual).sum()
-        objective.backward()
-    finally:
-        if was_training:
-            predictor.train()
+    images_t = nn.Tensor(images, requires_grad=True)
+    day_t = nn.Tensor(day_types)
+    flat_t = nn.ops.concat([images_t.reshape(images.shape[0], -1), day_t], axis=1)
+    predictions = predictor.forward(images_t, day_t, flat_t)
+    if targets is None:
+        objective = predictions.sum()
+    else:
+        residual = predictions - nn.Tensor(np.asarray(targets, dtype=np.float64))
+        objective = (residual * residual).sum()
+    objective.backward()
     assert images_t.grad is not None
     return InputGradient(
         grad_images=images_t.grad,
@@ -104,7 +98,6 @@ class CompiledInputGradient:
         from ..nn.compile import CompiledFunction
 
         self.predictor = predictor
-        self._predictor_modules = None
 
         def targeted_fn(images, day_types, targets):
             flat = nn.ops.concat([images.reshape(images.shape[0], -1), day_types], axis=1)
@@ -144,24 +137,11 @@ class CompiledInputGradient:
             )
         images = np.asarray(images, dtype=np.float64)
         day_types = np.asarray(day_types, dtype=np.float64)
-        # Inline eval()/train(): the recursive module walk is measurable
-        # at PGD-step frequency, and this instance is pinned to one
-        # predictor whose structure does not change.
-        if self._predictor_modules is None:
-            self._predictor_modules = list(predictor.modules())
-        was_training = predictor.training
-        for module in self._predictor_modules:
-            object.__setattr__(module, "training", False)
-        try:
-            if targets is None:
-                run = self._untargeted(images, day_types)
-            else:
-                run = self._targeted(images, day_types, np.asarray(targets, dtype=np.float64))
-            run.backward()
-        finally:
-            if was_training:
-                for module in self._predictor_modules:
-                    object.__setattr__(module, "training", True)
+        if targets is None:
+            run = self._untargeted(images, day_types)
+        else:
+            run = self._targeted(images, day_types, np.asarray(targets, dtype=np.float64))
+        run.backward()
         objective, predictions = run.outputs
         grad = run.input_grad(0)
         assert grad is not None

@@ -1,14 +1,11 @@
 """``repro.baselines`` — statistical and naive comparison models."""
 
 from .arima import ARPredictor
-from .cgan import CGANConfig, CGANPredictor
 from .naive import HistoricalAverageBaseline, LastValueBaseline
 from .prophet import Prophet, ProphetForecaster
 
 __all__ = [
     "ARPredictor",
-    "CGANConfig",
-    "CGANPredictor",
     "HistoricalAverageBaseline",
     "LastValueBaseline",
     "Prophet",

@@ -339,8 +339,6 @@ class APOTSTrainer:
         section = rec.section if rec is not None else (lambda name: nullcontext())
         rng = np.random.default_rng(self.spec.seed)
         history = AdversarialHistory()
-        self.predictor.train()
-        self.discriminator.train()
         augmenter = self._make_augmenter(dataset)
 
         global_step = 0
@@ -475,6 +473,4 @@ class APOTSTrainer:
                     f"real {history.discriminator_real_prob[-1]:.2f} "
                     f"fake {history.discriminator_fake_prob[-1]:.2f}"
                 )
-        self.predictor.eval()
-        self.discriminator.eval()
         return history

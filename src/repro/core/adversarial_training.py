@@ -151,7 +151,6 @@ class AdversarialAugmenter:
         # would never get past their validation calls).
         self._gradient_fn = None
         self._cf_predict = None
-        self._predictor_modules = None
         if compile:
             from ..attacks.gradients import CompiledInputGradient
             from ..nn.compile import CompiledFunction
@@ -216,21 +215,7 @@ class AdversarialAugmenter:
         # would change the BLAS call pattern, so they stay on the eager
         # chunked path.
         if self._cf_predict is not None and len(flat) <= 1024:
-            # Inline eval()/train() over a cached module list — the
-            # recursive walk is measurable at attack-loop frequency, and
-            # the augmenter's predictor structure is fixed for its life.
-            if self._predictor_modules is None:
-                self._predictor_modules = list(self.predictor.modules())
-            was_training = self.predictor.training
-            for module in self._predictor_modules:
-                object.__setattr__(module, "training", False)
-            try:
-                run = self._cf_predict(images, day_types, flat)
-            finally:
-                if was_training:
-                    for module in self._predictor_modules:
-                        object.__setattr__(module, "training", True)
-            prediction = run.outputs[0].data
+            prediction = self._cf_predict(images, day_types, flat).outputs[0].data
             return float(np.mean((prediction - targets) ** 2))
         prediction = self.predictor.predict(images, day_types, flat)
         return float(np.mean((prediction - targets) ** 2))

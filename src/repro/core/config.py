@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 #: Valid predictor identifiers, named as in the paper.
-PredictorKind = str  # "F" | "L" | "C" | "H" | "A" (attention extension)
+PredictorKind = str  # "F" | "L" | "C" | "H"
 
-_VALID_KINDS = ("F", "L", "C", "H", "A")  # "A" = attention extension
+_VALID_KINDS = ("F", "L", "C", "H")
 
 
 def _scaled(widths: list[int], factor: float, minimum: int = 8) -> list[int]:

@@ -24,11 +24,11 @@ arrays are small and pipe transport is cheap relative to the
 forward/backward work; replicas hold no optimiser state, so a restart
 can rebuild the group from the parent's parameters at any step.
 
-Because the predictors' train-mode forward is deterministic (no
-dropout in any Table I architecture), replicas need no RNG
-coordination; if a stochastic layer is ever added, shard gradients
-would need per-shard seeds derived the :mod:`repro.parallel.seeding`
-way and the serial-equivalence pin would have to be relaxed.
+Because the predictors' forward is deterministic (no dropout in any
+Table I architecture), replicas need no RNG coordination; if a
+stochastic layer is ever added, shard gradients would need per-shard
+seeds derived the :mod:`repro.parallel.seeding` way and the
+serial-equivalence pin would have to be relaxed.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class _Replica:
 
     def __init__(self, predictor: Predictor):
         self.predictor = predictor
-        self.predictor.train()
         self.params = predictor.parameters()
         self.loss_fn = nn.MSELoss()
 

@@ -127,9 +127,8 @@ class APOTS:
         self.scalers: FeatureScalers | None = None
         #: Distribution profile of the raw km/h speeds this model was
         #: fitted on (``repro.data.ReferenceProfile``), recorded by
-        #: :meth:`fit` and carried in format-v3 checkpoints so serving
-        #: can monitor input drift.  ``None`` on unfitted models and on
-        #: v1/v2 checkpoints.
+        #: :meth:`fit` and carried in checkpoints so serving can monitor
+        #: input drift.  ``None`` on unfitted models.
         self.reference_profile: "ReferenceProfile | None" = None
 
     # ------------------------------------------------------------------

@@ -55,17 +55,11 @@ class Predictor(nn.Module):
         batch_size: int = 1024,
     ) -> np.ndarray:
         """Grad-free batched inference returning a (N,) numpy array."""
-        was_training = self.training
-        self.eval()
         outputs = []
-        try:
-            with nn.no_grad():
-                for start in range(0, len(flat), batch_size):
-                    sl = slice(start, start + batch_size)
-                    outputs.append(self.predict_arrays(images[sl], day_types[sl], flat[sl]).data)
-        finally:
-            if was_training:
-                self.train()
+        with nn.no_grad():
+            for start in range(0, len(flat), batch_size):
+                sl = slice(start, start + batch_size)
+                outputs.append(self.predict_arrays(images[sl], day_types[sl], flat[sl]).data)
         return np.concatenate(outputs) if outputs else np.array([])
 
 
@@ -194,12 +188,6 @@ class HybridPredictor(Predictor):
         return self.head(nn.ops.concat([last, day_types, last_speed], axis=1)).reshape(-1)
 
 
-def _attention_cls():
-    from .attention import AttentionPredictor
-
-    return AttentionPredictor
-
-
 _REGISTRY = {"F": FCPredictor, "L": LSTMPredictor, "C": CNNPredictor, "H": HybridPredictor}
 
 
@@ -210,12 +198,9 @@ def build_predictor(
     rng: np.random.Generator | None = None,
 ) -> Predictor:
     """Instantiate a predictor by its paper name (F / L / C / H)."""
-    if kind == "A":
-        cls = _attention_cls()
-    else:
-        try:
-            cls = _REGISTRY[kind]
-        except KeyError:
-            valid = sorted(_REGISTRY) + ["A"]
-            raise ValueError(f"unknown predictor kind {kind!r}; expected one of {valid}") from None
+    try:
+        cls = _REGISTRY[kind]
+    except KeyError:
+        valid = sorted(_REGISTRY)
+        raise ValueError(f"unknown predictor kind {kind!r}; expected one of {valid}") from None
     return cls(features, spec=spec if spec is not None else table1_spec(kind), rng=rng)

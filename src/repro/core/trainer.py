@@ -137,7 +137,6 @@ class SupervisedTrainer:
         best_val = float("inf")
         best_state = None
         stale_epochs = 0
-        self.predictor.train()
         augmenter = self._make_augmenter(dataset)
         global_step = 0
         for epoch in range(self.spec.epochs):
@@ -214,7 +213,6 @@ class SupervisedTrainer:
                         break
         if best_state is not None:
             self.predictor.load_state_dict(best_state)
-        self.predictor.eval()
         return history
 
     def validation_loss(self, dataset: TrafficDataset) -> float:

@@ -4,6 +4,12 @@ A checkpoint is a directory holding the predictor (and, when present,
 the discriminator) state dicts plus a JSON manifest describing the
 architecture, so ``load_model`` can rebuild the exact module graph
 before loading weights.
+
+The manifest also records a digest of each weight file's contents and is
+written last, by an atomic rename, so it always describes a complete
+save.  A save that dies partway over an existing checkpoint leaves the
+old manifest beside some new weights; ``load_model`` recomputes the
+digests and refuses that mix instead of serving it.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from ..data.features import FactorMask, FeatureConfig, FeatureScalers
@@ -32,13 +39,20 @@ _MANIFEST = "manifest.json"
 _PREDICTOR = "predictor.npz"
 _DISCRIMINATOR = "discriminator.npz"
 
-#: Version written by :func:`save_model`.  v2 added the fitted feature
-#: scalers; v3 added the training-time input reference profile used by
-#: drift monitors.  v1 checkpoints (weights only) are still readable but
-#: cannot reproduce inference on raw km/h inputs; v1/v2 checkpoints load
-#: with ``reference_profile=None`` (input-drift monitoring disabled).
-FORMAT_VERSION = 3
-SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
+#: Version written by :func:`save_model`, and the only one read.  The
+#: manifest carries the fitted feature scalers, the training-time input
+#: reference profile used by drift monitors, and the weight digests.
+FORMAT_VERSION = 4
+SUPPORTED_FORMAT_VERSIONS = (FORMAT_VERSION,)
+
+
+def _weights_digest(label: str, module) -> str:
+    digest = hashlib.blake2b(digest_size=12)
+    digest.update(label.encode())
+    for name, array in sorted(module.state_dict().items()):
+        digest.update(name.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def model_fingerprint(model: APOTS) -> str:
@@ -46,14 +60,16 @@ def model_fingerprint(model: APOTS) -> str:
 
     Two models fingerprint equal iff their predictor kind and every
     weight array are bitwise identical — used to namespace forecast
-    cache entries and to label swap/rollback obs events.
+    cache entries, to label swap/rollback obs events and to check a
+    checkpoint's predictor weights on load.
     """
-    digest = hashlib.blake2b(digest_size=12)
-    digest.update(model.kind.encode())
-    for name, array in sorted(model.predictor.state_dict().items()):
-        digest.update(name.encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+    return _weights_digest(model.kind, model.predictor)
+
+
+def _discriminator_digest(model: APOTS) -> str | None:
+    if model.discriminator is None:
+        return None
+    return _weights_digest("discriminator", model.discriminator)
 
 
 def _features_to_dict(features) -> dict:
@@ -65,8 +81,7 @@ def _features_to_dict(features) -> dict:
     }
     if isinstance(features, GraphFeatureConfig):
         # The "graph" key marks a graph-neighbourhood geometry; its
-        # presence (not a format bump) selects the config class on load,
-        # so corridor checkpoints stay readable by older builds.
+        # presence selects the config class on load.
         layout = features.layout
         payload["graph"] = {
             "num_segments": layout.num_segments,
@@ -117,9 +132,15 @@ def save_model(model: APOTS, directory: str | Path) -> Path:
 
     Returns the directory path.  The training history is not persisted —
     checkpoints capture what is needed for inference and fine-tuning.
+    The weight files are written first and the manifest last, by an
+    atomic rename, so a manifest only ever appears after every weight
+    file it fingerprints is complete.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    save_state(model.predictor, directory / _PREDICTOR)
+    if model.discriminator is not None:
+        save_state(model.discriminator, directory / _DISCRIMINATOR)
     manifest = {
         "format_version": FORMAT_VERSION,
         "scalers": model.scalers.state_dict() if model.scalers is not None else None,
@@ -136,11 +157,12 @@ def save_model(model: APOTS, directory: str | Path) -> Path:
             if getattr(model, "reference_profile", None) is not None
             else None
         ),
+        "fingerprint": model_fingerprint(model),
+        "discriminator_fingerprint": _discriminator_digest(model),
     }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
-    save_state(model.predictor, directory / _PREDICTOR)
-    if model.discriminator is not None:
-        save_state(model.discriminator, directory / _DISCRIMINATOR)
+    staged = directory / (_MANIFEST + ".tmp")
+    staged.write_text(json.dumps(manifest, indent=2))
+    os.replace(staged, directory / _MANIFEST)
     return directory
 
 
@@ -166,16 +188,23 @@ def load_model(directory: str | Path) -> APOTS:
         adversarial=manifest["adversarial"],
         conditional=bool(manifest["conditional"]),
         preset=preset,
-        model_spec=_spec_from_dict(manifest["spec"]) if manifest.get("spec") else None,
+        model_spec=_spec_from_dict(manifest["spec"]),
         seed=manifest["seed"],
     )
-    scalers_state = manifest.get("scalers")
-    if scalers_state is not None:
-        model.scalers = FeatureScalers.from_state(scalers_state)
-    profile_state = manifest.get("reference_profile")
-    if profile_state is not None:
-        model.reference_profile = ReferenceProfile.from_state(profile_state)
+    if manifest["scalers"] is not None:
+        model.scalers = FeatureScalers.from_state(manifest["scalers"])
+    if manifest["reference_profile"] is not None:
+        model.reference_profile = ReferenceProfile.from_state(manifest["reference_profile"])
     load_state(model.predictor, directory / _PREDICTOR)
     if model.discriminator is not None:
         load_state(model.discriminator, directory / _DISCRIMINATOR)
+    if (
+        model_fingerprint(model) != manifest["fingerprint"]
+        or _discriminator_digest(model) != manifest["discriminator_fingerprint"]
+    ):
+        raise ValueError(
+            f"checkpoint weights at {directory} do not match its manifest's "
+            f"fingerprints; the files come from different saves (a torn or "
+            f"corrupted save) — re-save the model"
+        )
     return model

@@ -3,7 +3,7 @@
 A :class:`ReferenceProfile` captures the distribution of raw km/h
 speeds a model was trained on: mean, standard deviation, and a fixed-bin
 histogram over the plausible expressway range.  It rides along in
-format-v3 zoo checkpoints (see :mod:`repro.core.zoo`) so that serving
+zoo checkpoints (see :mod:`repro.core.zoo`) so that serving
 time can ask "does the live input stream still look like the training
 data?" without access to the original series.
 

@@ -91,7 +91,7 @@ class ForecastFleet:
     Parameters
     ----------
     checkpoint_dir:
-        A :mod:`repro.core.zoo` format-v2 checkpoint directory; every
+        A :mod:`repro.core.zoo` checkpoint directory; every
         replica loads the same weights and scalers from it.
     num_segments:
         Corridor length the observation stream indexes into.
@@ -612,7 +612,7 @@ class ForecastFleet:
             )
         if model.scalers is None:
             raise ValueError(
-                "checkpoint lacks scaler state (format v1?); fleet serving "
+                "checkpoint lacks scaler state (saved unfitted); fleet serving "
                 "needs the fitted scalers to transform raw observations"
             )
         fingerprint = model_fingerprint(model)

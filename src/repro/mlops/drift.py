@@ -15,8 +15,8 @@ never trigger a retrain (DESIGN.md §14):
 
 * :class:`InputDriftMonitor` — *does the input still look like the
   training data?*  Raw km/h speeds are windowed and compared against
-  the champion checkpoint's :class:`repro.data.ReferenceProfile`
-  (format v3) by PSI and mean shift.  A v1/v2 checkpoint has no
+  the champion checkpoint's :class:`repro.data.ReferenceProfile` by
+  PSI and mean shift.  A checkpoint saved from an unfitted model has no
   profile; the monitor is then disabled rather than guessing.
 
 Every evaluation emits a schema-valid ``drift_error`` / ``drift_input``
@@ -295,7 +295,7 @@ class ErrorDriftMonitor:
 class InputDriftMonitor:
     """Input-distribution shift against a training-time reference profile.
 
-    When the profile carries day-type bins (format v3 profiles built by
+    When the profile carries day-type bins (profiles built by
     :meth:`ReferenceProfile.from_series`) and the observation stream
     labels its day types, the PSI and mean-shift statistics are
     **conditioned**: each day type in the window is compared against its
@@ -327,7 +327,7 @@ class InputDriftMonitor:
 
     @property
     def enabled(self) -> bool:
-        """False when the champion checkpoint predates format v3."""
+        """False when the champion checkpoint carries no reference profile."""
         return self.profile is not None
 
     def reset(self) -> None:

@@ -32,9 +32,10 @@ Fallback rules (always to correct eager execution):
 * unknown op, or a construct the tape cannot replay (e.g. ``max()`` over
   all elements, whose backward closes over an immutable scalar) — the
   tape build raises :class:`TapeUnsupported` and the key is rejected;
-* untraced values baked into the graph (e.g. the shift constant in
-  :func:`repro.nn.ops.softmax`, or data-dependent Python control flow
-  inside ``fn``) — caught by bitwise validation;
+* untraced values baked into the graph (e.g. a softmax shift constant
+  ``z - z.data.max(axis=1, keepdims=True)`` read from the input values,
+  or data-dependent Python control flow inside ``fn``) — caught by
+  bitwise validation;
 * a new input-shape signature — a fresh tape is recorded, up to
   ``max_tapes`` keys; beyond that, new shapes run plain eager;
 * ``no_grad()`` active, or another CompiledFunction currently recording
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import tensor as _tensor_module
 from .fused_rnn import _lstm_forward_kernel
-from .ops import _avg_pool_forward, _conv2d_forward, _max_pool_forward
+from .ops import _conv2d_forward
 from .tensor import Tensor, _set_trace_hook, _unbroadcast, is_grad_enabled, no_grad
 
 __all__ = ["CompiledFunction", "CompiledTape", "CompiledRun", "TapeUnsupported"]
@@ -317,17 +318,6 @@ def _rule_pad2d(out, parents, meta):
     return run
 
 
-@_rule("where")
-def _rule_where(out, parents, meta):
-    a, b, o = parents[0].data, parents[1].data, out.data
-    cond = meta["cond"]  # static; a varying condition fails validation
-
-    def run():
-        np.copyto(o, np.where(cond, a, b))
-
-    return run
-
-
 @_rule("maximum")
 def _rule_maximum(out, parents, meta):
     a, b, o = parents[0].data, parents[1].data, out.data
@@ -352,31 +342,6 @@ def _rule_conv2d(out, parents, meta):
     def run():
         new_out, _, _, _ = _conv2d_forward(x, weight, bias, stride, cols_flat)
         np.copyto(o, new_out)
-
-    return run
-
-
-@_rule("max_pool2d")
-def _rule_max_pool2d(out, parents, meta):
-    x, o = parents[0].data, out.data
-    kernel, stride = meta["kernel"], meta["stride"]
-    arg = meta["arg"]  # captured by the backward closure
-
-    def run():
-        new_out, new_arg, _, _ = _max_pool_forward(x, kernel, stride)
-        np.copyto(arg, new_arg)
-        np.copyto(o, new_out)
-
-    return run
-
-
-@_rule("avg_pool2d")
-def _rule_avg_pool2d(out, parents, meta):
-    x, o = parents[0].data, out.data
-    kernel, stride = meta["kernel"], meta["stride"]
-
-    def run():
-        np.copyto(o, _avg_pool_forward(x, kernel, stride))
 
     return run
 
@@ -510,7 +475,7 @@ def _fuse(entries: list[tuple[str, Tensor, tuple, Callable]]) -> tuple[list[Call
 # is a plain write, later ones add in place (``old + new`` and
 # ``old += new`` are the same float operation), so a trusted backward
 # replay stays bitwise-equal to eager.  Ops without a buffered rule
-# (the chunky kernels: lstm_fused, conv2d, pools, pad2d, max) fall back
+# (the chunky kernels: lstm_fused, conv2d, pad2d, max) fall back
 # to their recorded closure with the generic deliver path — identical
 # to what Tensor.backward does, just over the cached schedule.
 
@@ -827,8 +792,8 @@ def _fast_backward_step(op, node, parents, meta, g, gbufs, has, pindex, delivere
         for k, _ in grad_edges():
             slicer = (slice(None),) * (axis % g.ndim) + (k,)
             add_view(k, lambda slicer=slicer: g[slicer])
-    elif op in ("where", "maximum"):
-        selector = meta["cond" if op == "where" else "mask"]
+    elif op == "maximum":
+        selector = meta["mask"]
         inverse_sel = np.empty(selector.shape, dtype=bool)
         for k, _ in grad_edges():
             if k == 0:

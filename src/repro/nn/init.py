@@ -10,15 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
-    "uniform",
-    "zeros",
-    "orthogonal",
-]
+__all__ = ["xavier_uniform", "kaiming_uniform", "uniform", "zeros"]
 
 
 def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -38,25 +30,11 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot & Bengio (2010) normal initialisation."""
-    fan_in, fan_out = _fan(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He et al. (2015) uniform initialisation for ReLU networks."""
     fan_in, _ = _fan(shape)
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He et al. (2015) normal initialisation for ReLU networks."""
-    fan_in, _ = _fan(shape)
-    std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def uniform(shape: tuple[int, ...], rng: np.random.Generator, bound: float) -> np.ndarray:
@@ -67,17 +45,3 @@ def uniform(shape: tuple[int, ...], rng: np.random.Generator, bound: float) -> n
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (biases)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def orthogonal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal initialisation (Saxe et al., 2014) — good for RNNs."""
-    if len(shape) < 2:
-        raise ValueError("orthogonal init requires at least a 2-D shape")
-    rows = shape[0]
-    cols = int(np.prod(shape[1:]))
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q = q * np.sign(np.diag(r))  # make the decomposition unique
-    if rows < cols:
-        q = q.T
-    return gain * q[:rows, :cols].reshape(shape)

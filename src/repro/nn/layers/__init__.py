@@ -1,33 +1,18 @@
 """Neural network layers for the from-scratch substrate."""
 
-from .activation import ELU, LeakyReLU, ReLU, Sigmoid, Tanh
+from .activation import LeakyReLU, ReLU
 from .container import ModuleList, Sequential
-from .conv import AvgPool2d, Conv2d, Flatten, MaxPool2d
-from .dropout import Dropout
-from .gru import GRU, GRUCell
+from .conv import Conv2d
 from .linear import Linear
-from .normalization import BatchNorm1d, BatchNorm2d, LayerNorm
 from .recurrent import LSTM, LSTMCell
 
 __all__ = [
-    "ELU",
     "LeakyReLU",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "ModuleList",
     "Sequential",
-    "AvgPool2d",
     "Conv2d",
-    "Flatten",
-    "MaxPool2d",
-    "Dropout",
-    "GRU",
-    "GRUCell",
     "Linear",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "LayerNorm",
     "LSTM",
     "LSTMCell",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..module import Module
 from ..tensor import Tensor
 
-__all__ = ["ReLU", "Tanh", "Sigmoid", "LeakyReLU", "ELU"]
+__all__ = ["ReLU", "LeakyReLU"]
 
 
 class ReLU(Module):
@@ -13,20 +13,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic activation ``1 / (1 + exp(-x))``."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
 
 
 class LeakyReLU(Module):
@@ -38,16 +24,3 @@ class LeakyReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.leaky_relu(self.negative_slope)
-
-
-class ELU(Module):
-    """Exponential linear unit: x for x>0, alpha*(exp(x)-1) otherwise."""
-
-    def __init__(self, alpha: float = 1.0):
-        super().__init__()
-        self.alpha = alpha
-
-    def forward(self, x: Tensor) -> Tensor:
-        from ..ops import where
-
-        return where(x.data > 0, x, (x.exp() - 1.0) * self.alpha)

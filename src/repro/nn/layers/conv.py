@@ -1,4 +1,4 @@
-"""Convolution and pooling layers built on the im2col primitives."""
+"""The convolution layer, built on the im2col primitives."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from .. import init, ops
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "Flatten"]
+__all__ = ["Conv2d"]
 
 
 def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -60,33 +60,3 @@ class Conv2d(Module):
             f"kernel_size={self.kernel_size}, stride={self.stride}, padding={self.padding})"
         )
 
-
-class MaxPool2d(Module):
-    """Max pooling layer."""
-
-    def __init__(self, kernel_size: int | tuple[int, int], stride: int | tuple[int, int] | None = None):
-        super().__init__()
-        self.kernel_size = _pair(kernel_size)
-        self.stride = self.kernel_size if stride is None else _pair(stride)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size: int | tuple[int, int], stride: int | tuple[int, int] | None = None):
-        super().__init__()
-        self.kernel_size = _pair(kernel_size)
-        self.stride = self.kernel_size if stride is None else _pair(stride)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.avg_pool2d(x, self.kernel_size, self.stride)
-
-
-class Flatten(Module):
-    """Flatten all axes after the batch axis."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)

@@ -1,9 +1,9 @@
-"""Loss functions used by APOTS and its baselines.
+"""Loss functions used by APOTS.
 
 The paper's objectives need exactly two ingredients: per-speed MSE for the
 predictor and log-probability (binary cross-entropy style) terms for the
-adversarial game.  ``BCEWithLogitsLoss`` is provided as the numerically
-safe route for discriminator training.
+adversarial game, which ``BCEWithLogitsLoss`` computes stably from the
+discriminator's raw scores.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import numpy as np
 from .module import Module
 from .tensor import Tensor, as_tensor
 
-__all__ = ["MSELoss", "L1Loss", "BCELoss", "BCEWithLogitsLoss", "HuberLoss"]
-
-_EPS = 1e-12
+__all__ = ["MSELoss", "BCEWithLogitsLoss"]
 
 
 class _Loss(Module):
@@ -42,46 +40,6 @@ class MSELoss(_Loss):
         target = as_tensor(target)
         diff = prediction - target.detach()
         return self._reduce(diff * diff)
-
-
-class L1Loss(_Loss):
-    """Mean absolute error."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        target = as_tensor(target)
-        return self._reduce((prediction - target.detach()).abs())
-
-
-class HuberLoss(_Loss):
-    """Huber loss: quadratic near zero, linear beyond ``delta``."""
-
-    def __init__(self, delta: float = 1.0, reduction: str = "mean"):
-        super().__init__(reduction)
-        self.delta = delta
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        from .ops import where
-
-        target = as_tensor(target)
-        diff = prediction - target.detach()
-        abs_diff = diff.abs()
-        quadratic = diff * diff * 0.5
-        linear = abs_diff * self.delta - 0.5 * self.delta**2
-        return self._reduce(where(abs_diff.data <= self.delta, quadratic, linear))
-
-
-class BCELoss(_Loss):
-    """Binary cross-entropy on probabilities in (0, 1).
-
-    Inputs are clipped away from {0, 1} before the log for stability;
-    prefer :class:`BCEWithLogitsLoss` when you have raw scores.
-    """
-
-    def forward(self, probability: Tensor, target) -> Tensor:
-        target = as_tensor(target).detach()
-        p = probability.clip(_EPS, 1.0 - _EPS)
-        loss = -(target * p.log() + (1.0 - target) * (1.0 - p).log())
-        return self._reduce(loss)
 
 
 class BCEWithLogitsLoss(_Loss):

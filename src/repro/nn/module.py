@@ -2,8 +2,9 @@
 
 Mirrors the familiar torch.nn.Module contract at the scale this project
 needs: automatic parameter registration via ``__setattr__``, recursive
-``parameters()`` / ``named_parameters()``, train/eval mode propagation,
-and ``state_dict`` round-tripping to ``.npz`` files.
+``parameters()`` / ``named_parameters()`` and ``state_dict``
+round-tripping to ``.npz`` files.  There is no train/eval mode: no layer
+here behaves differently at inference (no dropout, no batch statistics).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------
     # Registration
@@ -74,20 +74,8 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     # ------------------------------------------------------------------
-    # Mode and gradients
+    # Gradients
     # ------------------------------------------------------------------
-    def train(self) -> "Module":
-        """Set this module and all children to training mode."""
-        for module in self.modules():
-            object.__setattr__(module, "training", True)
-        return self
-
-    def eval(self) -> "Module":
-        """Set this module and all children to evaluation mode."""
-        for module in self.modules():
-            object.__setattr__(module, "training", False)
-        return self
-
     def zero_grad(self) -> None:
         """Clear gradients on every parameter."""
         for param in self.parameters():

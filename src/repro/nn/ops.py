@@ -2,14 +2,14 @@
 
 These are free functions over :class:`repro.nn.tensor.Tensor` that do not
 fit naturally as methods: concatenation/stacking, padding, im2col-based 2-D
-convolution and pooling, and a few composite helpers (softmax, where).
+convolution and the elementwise ``maximum``.
 
 The convolution forward/backward pair is implemented as a single primitive
 (rather than composed from indexing ops) because the im2col/col2im
 formulation is orders of magnitude faster in numpy.
 
-Forward computations with derived state (convolution patch matrices,
-pooling argmaxes) are factored into ``_*_forward`` helpers shared with
+Forward computations with derived state (the convolution patch matrix)
+are factored into a ``_*_forward`` helper shared with
 :mod:`repro.nn.compile`, so a compiled replay recomputes bit-identical
 values and refreshes the arrays the backward closures captured.
 """
@@ -27,13 +27,7 @@ __all__ = [
     "stack",
     "pad2d",
     "conv2d",
-    "max_pool2d",
-    "avg_pool2d",
-    "where",
     "maximum",
-    "softmax",
-    "log_softmax",
-    "im2col",
     "col2im",
 ]
 
@@ -103,23 +97,13 @@ def _patches(
     return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides), out_h, out_w
 
 
-def im2col(
-    x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
-) -> tuple[np.ndarray, int, int]:
-    """Unfold (N, C, H, W) into (N, C*kh*kw, out_h*out_w) patches."""
-    patches, out_h, out_w = _patches(x, kernel, stride)
-    n, c, kh, kw = patches.shape[:4]
-    cols = patches.reshape(n, c * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
     kernel: tuple[int, int],
     stride: tuple[int, int],
 ) -> np.ndarray:
-    """Fold patch gradients back into an image gradient (inverse of im2col)."""
+    """Fold (N, C*kh*kw, out_h*out_w) patch gradients back into an image gradient."""
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
@@ -212,76 +196,6 @@ def conv2d(
     return Tensor._make(out, parents, backward, "conv2d", {"cols_flat": cols_flat, "stride": stride})
 
 
-def _max_pool_forward(
-    x_data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Max-pool forward math; returns ``(out, argmax, out_h, out_w)``."""
-    n, c = x_data.shape[:2]
-    cols, out_h, out_w = im2col(x_data, kernel, stride)
-    cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
-    arg = cols.argmax(axis=2)  # (N, C, L)
-    out = np.take_along_axis(cols, arg[:, :, None, :], axis=2).squeeze(2)
-    return out.reshape(n, c, out_h, out_w), arg, out_h, out_w
-
-
-def max_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int, int] | None = None) -> Tensor:
-    """Max pooling over the last two axes of (N, C, H, W)."""
-    kernel = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    stride = kernel if stride is None else ((stride, stride) if isinstance(stride, int) else tuple(stride))
-    x_data = x.data
-    n, c, h, w = x_data.shape
-    out, arg, out_h, out_w = _max_pool_forward(x_data, kernel, stride)
-
-    def backward(grad):
-        grad_flat = grad.reshape(n, c, -1)
-        grad_cols = np.zeros((n, c, kernel[0] * kernel[1], out_h * out_w), dtype=np.float64)
-        np.put_along_axis(grad_cols, arg[:, :, None, :], grad_flat[:, :, None, :], axis=2)
-        grad_cols = grad_cols.reshape(n, c * kernel[0] * kernel[1], out_h * out_w)
-        return (col2im(grad_cols, x_data.shape, kernel, stride),)
-
-    return Tensor._make(out, (x,), backward, "max_pool2d", {"kernel": kernel, "stride": stride, "arg": arg})
-
-
-def _avg_pool_forward(
-    x_data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
-) -> np.ndarray:
-    """Average-pool forward math (no derived state)."""
-    n, c = x_data.shape[:2]
-    cols, out_h, out_w = im2col(x_data, kernel, stride)
-    cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
-    return cols.mean(axis=2).reshape(n, c, out_h, out_w)
-
-
-def avg_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int, int] | None = None) -> Tensor:
-    """Average pooling over the last two axes of (N, C, H, W)."""
-    kernel = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    stride = kernel if stride is None else ((stride, stride) if isinstance(stride, int) else tuple(stride))
-    x_data = x.data
-    n, c, h, w = x_data.shape
-    area = kernel[0] * kernel[1]
-    out = _avg_pool_forward(x_data, kernel, stride)
-    out_h, out_w = out.shape[2], out.shape[3]
-
-    def backward(grad):
-        grad_flat = grad.reshape(n, c, 1, -1) / area
-        grad_cols = np.broadcast_to(grad_flat, (n, c, area, out_h * out_w))
-        grad_cols = grad_cols.reshape(n, c * area, out_h * out_w)
-        return (col2im(np.ascontiguousarray(grad_cols), x_data.shape, kernel, stride),)
-
-    return Tensor._make(out, (x,), backward, "avg_pool2d", {"kernel": kernel, "stride": stride})
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable select: ``condition`` is a plain boolean array."""
-    a, b = as_tensor(a), as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-
-    def backward(grad):
-        return grad * cond, grad * ~cond
-
-    return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward, "where", {"cond": cond})
-
-
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise maximum; ties route gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
@@ -292,21 +206,3 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
     return Tensor._make(np.maximum(a.data, b.data), (a, b), backward, "maximum", {"mask": mask})
 
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis``.
-
-    Composite (not a primitive): the shift constant is a fresh untraced
-    Tensor derived from the input *values*, so graphs through softmax
-    are not replayable by :mod:`repro.nn.compile` — its validation pass
-    detects the stale constant and falls back to eager execution.
-    """
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed stably (see softmax on replayability)."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()

@@ -1,8 +1,8 @@
-"""Optimisers and learning-rate schedulers.
+"""The Adam optimiser and global-norm gradient clipping.
 
-Implements the optimisers the paper's models need (Adam is used for all
-APOTS trainings; SGD and RMSprop are provided for baseline parity) plus
-global-norm gradient clipping and two simple LR schedules.
+Adam is the one optimiser every APOTS training uses (predictor and
+discriminator alike); clipping guards it against exploding or
+non-finite gradients.
 """
 
 from __future__ import annotations
@@ -14,83 +14,10 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "RMSprop",
-    "clip_grad_norm",
-    "StepLR",
-    "ExponentialLR",
-]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Optimizer:
-    """Base optimiser over a list of parameters."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float):
-        self.params: list[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def clip_grad_norm(self, max_norm: float, *, drop_nonfinite: bool = True) -> float:
-        """:func:`clip_grad_norm` over this optimiser's parameters.
-
-        Reuses per-parameter scratch arrays so the squared-norm pass
-        allocates nothing — same arithmetic, hot-loop friendly.
-        """
-        scratch = getattr(self, "_clip_scratch", None)
-        if scratch is None:
-            scratch = [np.empty_like(p.data) for p in self.params]
-            self._clip_scratch = scratch
-        return clip_grad_norm(
-            self.params, max_norm, drop_nonfinite=drop_nonfinite, scratch=scratch
-        )
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
     def __init__(
@@ -101,7 +28,12 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr)
+        self.params: list[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -139,6 +71,25 @@ class Adam(Optimizer):
             if param.grad is None:
                 param._grad_buf = gview
         self._t = 0
+
+    def zero_grad(self) -> None:
+        """Clear all parameter gradients."""
+        for param in self.params:
+            param.zero_grad()
+
+    def clip_grad_norm(self, max_norm: float, *, drop_nonfinite: bool = True) -> float:
+        """:func:`clip_grad_norm` over this optimiser's parameters.
+
+        Reuses per-parameter scratch arrays so the squared-norm pass
+        allocates nothing — same arithmetic, hot-loop friendly.
+        """
+        scratch = getattr(self, "_clip_scratch", None)
+        if scratch is None:
+            scratch = [np.empty_like(p.data) for p in self.params]
+            self._clip_scratch = scratch
+        return clip_grad_norm(
+            self.params, max_norm, drop_nonfinite=drop_nonfinite, scratch=scratch
+        )
 
     def step(self) -> None:
         self._t += 1
@@ -189,30 +140,6 @@ class Adam(Optimizer):
         np.divide(t1, t2, out=t1)
 
 
-class RMSprop(Optimizer):
-    """RMSprop (Tieleman & Hinton, 2012)."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-    ):
-        super().__init__(params, lr)
-        self.alpha = alpha
-        self.eps = eps
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, sq in zip(self.params, self._sq):
-            if param.grad is None:
-                continue
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * param.grad * param.grad
-            param.data -= self.lr * param.grad / (np.sqrt(sq) + self.eps)
-
-
 def clip_grad_norm(
     params: Sequence[Parameter],
     max_norm: float,
@@ -259,28 +186,3 @@ def clip_grad_norm(
                 param.grad *= scale
     return norm
 
-
-class StepLR:
-    """Multiply the optimiser LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch += 1
-        self.optimizer.lr = self._base_lr * self.gamma ** (self._epoch // self.step_size)
-
-
-class ExponentialLR:
-    """Multiply the optimiser LR by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float):
-        self.optimizer = optimizer
-        self.gamma = gamma
-
-    def step(self) -> None:
-        self.optimizer.lr *= self.gamma

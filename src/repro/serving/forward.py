@@ -29,21 +29,6 @@ from ..obs.telemetry import Telemetry
 __all__ = ["ServedForward"]
 
 
-def _eval_forward(predictor):
-    """``predictor.forward`` in eval mode, as ``Predictor.predict`` runs it."""
-
-    def forward(images, day_types, flat):
-        was_training = predictor.training
-        predictor.eval()
-        try:
-            return predictor.forward(images, day_types, flat)
-        finally:
-            if was_training:
-                predictor.train()
-
-    return forward
-
-
 class ServedForward:
     """Maps ``(images, day_types, flat)`` batches to a (B,) array of scaled predictions.
 
@@ -58,7 +43,7 @@ class ServedForward:
     def load(self, predictor) -> None:
         """Serve ``predictor`` from now on, dropping the previous predictor's tape."""
         self._compiled = CompiledFunction(
-            _eval_forward(predictor), name="serve_forward", forward_only=True, max_tapes=1
+            predictor.forward, name="serve_forward", forward_only=True, max_tapes=1
         )
         self._rejections = 0
         self._last_mode: str | None = None

@@ -13,8 +13,8 @@ Wiring (one instance serves one corridor):
   (:class:`PaddingFill`) so later misses in the same update need no
   forward;
 * :meth:`ForecastService.swap_checkpoint` hot-swaps the model mid-stream
-  from a :mod:`repro.core.zoo` checkpoint (format v2+, which carries the
-  fitted scalers); cache entries are namespaced by the serving model's
+  from a :mod:`repro.core.zoo` checkpoint (which carries the fitted
+  scalers); cache entries are namespaced by the serving model's
   weight fingerprint so stale-champion values cannot outlive a swap.
 
 Degradation policy (also documented in DESIGN.md): a query the model
@@ -150,7 +150,7 @@ class ForecastService:
     ----------
     model:
         A fitted :class:`~repro.core.model.APOTS` whose ``scalers`` are
-        set (``fit()`` sets them; so does loading a format-v2 checkpoint).
+        set (``fit()`` sets them; so does loading a fitted model's checkpoint).
     num_segments:
         Corridor length the observation stream indexes into.
     max_batch_size, linger_seconds:
@@ -202,7 +202,7 @@ class ForecastService:
         if scalers is None:
             raise ValueError(
                 "model has no fitted feature scalers; fit() it on a dataset or "
-                "load a format-v2 checkpoint (v1 checkpoints lack scaler state)"
+                "load a checkpoint saved from a fitted model"
             )
         if segment_range is None:
             segment_range = (0, num_segments)
@@ -484,7 +484,7 @@ class ForecastService:
             )
         if model.scalers is None:
             raise ValueError(
-                "checkpoint lacks scaler state (format v1?); online serving "
+                "checkpoint lacks scaler state (saved unfitted); online serving "
                 "needs the fitted scalers to transform raw observations"
             )
         self._model = model

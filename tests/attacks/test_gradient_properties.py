@@ -29,9 +29,7 @@ SHAPES = [(3, 1, 2), (5, 2, 1), (4, 1, 3)]
 
 def _predictor_for(kind: str, config: FeatureConfig, seed: int):
     spec = table1_spec(kind, width_factor=0.05)
-    predictor = build_predictor(kind, config, spec=spec, rng=np.random.default_rng(seed))
-    predictor.eval()
-    return predictor
+    return build_predictor(kind, config, spec=spec, rng=np.random.default_rng(seed))
 
 
 def _random_inputs(config: FeatureConfig, batch: int, rng: np.random.Generator):

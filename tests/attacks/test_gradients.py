@@ -15,9 +15,7 @@ SMALL = FeatureConfig(alpha=4, m=1)
 
 def small_predictor(kind: str):
     spec = table1_spec(kind, width_factor=0.05)
-    predictor = build_predictor(kind, SMALL, spec=spec, rng=np.random.default_rng(7))
-    predictor.eval()
-    return predictor
+    return build_predictor(kind, SMALL, spec=spec, rng=np.random.default_rng(7))
 
 
 def small_inputs(batch: int = 2, seed: int = 11):
@@ -78,13 +76,6 @@ class TestInputGradient:
         result = input_gradient(predictor, images, day_types)
         assert result.grad_images.shape == images.shape
         assert np.isclose(result.loss, float(result.predictions.sum()))
-
-    def test_restores_training_mode(self):
-        predictor = small_predictor("F")
-        predictor.train()
-        images, day_types, targets = small_inputs()
-        input_gradient(predictor, images, day_types, targets)
-        assert predictor.training
 
     def test_per_sample_gradients_batch_independent(self):
         # Sum (not mean) objective: sample 0's gradient must not change

@@ -64,11 +64,6 @@ class TestFit:
             history.predictor_loss, history.mse_loss, rtol=1e-9
         )
 
-    def test_sets_eval_mode_after_fit(self, tiny_dataset):
-        predictor, disc, spec = make_pair(tiny_dataset)
-        APOTSTrainer(predictor, disc, spec).fit(tiny_dataset)
-        assert not predictor.training and not disc.training
-
     def test_deterministic(self, tiny_dataset):
         histories = []
         for _ in range(2):

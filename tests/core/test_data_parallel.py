@@ -95,11 +95,6 @@ class TestLifecycle:
         second = trainer.fit(tiny_dataset)
         assert first.epochs_run == second.epochs_run == 1
 
-    def test_sets_eval_mode_after_fit(self, tiny_dataset):
-        trainer = DataParallelTrainer(_predictor(tiny_dataset), _spec(epochs=1), workers=2)
-        trainer.fit(tiny_dataset)
-        assert not trainer.predictor.training
-
 
 class TestSharding:
     def test_shards_partition_evenly(self, tiny_dataset):

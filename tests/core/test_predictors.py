@@ -68,22 +68,6 @@ class TestForwardShapes:
         images, day_types, flat = random_inputs(features, batch=0)
         assert predictor.predict(images, day_types, flat).shape == (0,)
 
-    def test_predict_restores_training_mode(self, features):
-        predictor = small_predictor("F", features)
-        predictor.train()
-        images, day_types, flat = random_inputs(features)
-        predictor.predict(images, day_types, flat)
-        assert predictor.training
-
-    @pytest.mark.parametrize("kind", ["F", "A"])
-    def test_failed_predict_restores_training_mode(self, features, kind):
-        predictor = small_predictor(kind, features)
-        predictor.train()
-        images, day_types, flat = random_inputs(features)
-        with pytest.raises(ValueError):
-            predictor.predict(images[:, :-1], day_types, flat[:, :-1])  # one row short
-        assert predictor.training and all(m.training for m in predictor.modules())
-
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["F", "L", "C", "H"])

@@ -34,11 +34,6 @@ class TestFit:
         assert np.all(np.isfinite(history.train_loss))
         assert np.all(np.isfinite(history.validation_loss))
 
-    def test_sets_eval_mode_after_fit(self, tiny_dataset):
-        trainer = make_trainer(tiny_dataset)
-        trainer.fit(tiny_dataset)
-        assert not trainer.predictor.training
-
     def test_deterministic_given_seed(self, tiny_dataset):
         a = make_trainer(tiny_dataset, seed=3).fit(tiny_dataset)
         b = make_trainer(tiny_dataset, seed=3).fit(tiny_dataset)

@@ -35,50 +35,13 @@ class TestMSELoss:
         assert target.grad is None
 
 
-class TestL1Loss:
-    def test_value(self):
-        loss = nn.L1Loss()(nn.Tensor([1.0, -2.0]), np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(1.5)
-
-    def test_gradient_sign(self):
-        x = nn.Tensor([3.0, -3.0], requires_grad=True)
-        nn.L1Loss(reduction="sum")(x, np.array([0.0, 0.0])).backward()
-        np.testing.assert_allclose(x.grad, [1.0, -1.0])
-
-
-class TestHuberLoss:
-    def test_quadratic_region(self):
-        loss = nn.HuberLoss(delta=1.0)(nn.Tensor([0.5]), np.array([0.0]))
-        assert loss.item() == pytest.approx(0.125)
-
-    def test_linear_region(self):
-        loss = nn.HuberLoss(delta=1.0)(nn.Tensor([3.0]), np.array([0.0]))
-        assert loss.item() == pytest.approx(3.0 - 0.5)
-
-    def test_gradcheck(self):
-        x = nn.Tensor([0.3, 2.5, -1.7], requires_grad=True)
-        nn.check_gradients(lambda: nn.HuberLoss()(x, np.zeros(3)), [x])
-
-
-class TestBCELoss:
-    def test_value(self):
-        p = nn.Tensor([0.9, 0.1])
-        t = np.array([1.0, 0.0])
-        expected = -np.mean([np.log(0.9), np.log(0.9)])
-        assert nn.BCELoss()(p, t).item() == pytest.approx(expected)
-
-    def test_clipping_prevents_infinity(self):
-        loss = nn.BCELoss()(nn.Tensor([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-
-
 class TestBCEWithLogitsLoss:
     def test_matches_bce_on_probabilities(self):
         logits = np.array([-1.5, 0.3, 2.0])
         targets = np.array([0.0, 1.0, 1.0])
         with_logits = nn.BCEWithLogitsLoss()(nn.Tensor(logits), targets).item()
         probs = 1.0 / (1.0 + np.exp(-logits))
-        plain = nn.BCELoss()(nn.Tensor(probs), targets).item()
+        plain = -np.mean(targets * np.log(probs) + (1.0 - targets) * np.log(1.0 - probs))
         assert with_logits == pytest.approx(plain, rel=1e-6)
 
     def test_stable_at_extreme_logits(self):

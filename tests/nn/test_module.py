@@ -49,13 +49,6 @@ class TestRegistration:
 
 
 class TestModes:
-    def test_train_eval_propagates(self):
-        model = TwoLayer(np.random.default_rng(0))
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
-
     def test_zero_grad_clears_all(self):
         model = TwoLayer(np.random.default_rng(0))
         x = nn.Tensor(np.ones((2, 3)))
@@ -122,25 +115,11 @@ class TestInitializers:
         bound = np.sqrt(6.0 / 150)
         assert np.all(np.abs(w) <= bound)
 
-    def test_kaiming_normal_scale(self):
-        rng = np.random.default_rng(6)
-        w = nn.init.kaiming_normal((2000, 100), rng)
-        assert abs(w.std() - np.sqrt(2.0 / 100)) < 0.01
-
     def test_conv_fan_accounts_for_receptive_field(self):
         rng = np.random.default_rng(7)
         w = nn.init.kaiming_uniform((8, 4, 3, 3), rng)
         bound = np.sqrt(6.0 / (4 * 9))
         assert np.all(np.abs(w) <= bound)
-
-    def test_orthogonal_is_orthogonal(self):
-        rng = np.random.default_rng(8)
-        w = nn.init.orthogonal((6, 6), rng)
-        np.testing.assert_allclose(w @ w.T, np.eye(6), atol=1e-10)
-
-    def test_orthogonal_rejects_1d(self):
-        with pytest.raises(ValueError):
-            nn.init.orthogonal((5,), np.random.default_rng(9))
 
     def test_zeros(self):
         np.testing.assert_allclose(nn.init.zeros((3, 3)), 0.0)

@@ -1,4 +1,4 @@
-"""Tests for structural ops: concat, stack, pad, where, softmax, pooling."""
+"""Tests for structural ops: concat, stack, pad, maximum, conv2d, col2im."""
 
 import numpy as np
 import pytest
@@ -74,19 +74,6 @@ class TestPad2d:
 
 
 class TestWhereMaximum:
-    def test_where_selects(self):
-        cond = np.array([True, False])
-        out = ops.where(cond, nn.Tensor([1.0, 1.0]), nn.Tensor([9.0, 9.0]))
-        np.testing.assert_allclose(out.data, [1.0, 9.0])
-
-    def test_where_gradient_routes(self):
-        cond = np.array([True, False])
-        a = nn.Tensor([1.0, 1.0], requires_grad=True)
-        b = nn.Tensor([2.0, 2.0], requires_grad=True)
-        ops.where(cond, a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
     def test_maximum_forward_and_grad(self):
         a = nn.Tensor([1.0, 5.0], requires_grad=True)
         b = nn.Tensor([3.0, 2.0], requires_grad=True)
@@ -102,28 +89,6 @@ class TestWhereMaximum:
         ops.maximum(a, b).sum().backward()
         np.testing.assert_allclose(a.grad, [1.0])
         np.testing.assert_allclose(b.grad, [0.0])
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        x = nn.Tensor(np.random.default_rng(3).normal(size=(4, 5)))
-        out = ops.softmax(x, axis=1)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4), atol=1e-12)
-
-    def test_stable_with_large_values(self):
-        out = ops.softmax(nn.Tensor([1000.0, 1000.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = nn.Tensor(np.random.default_rng(4).normal(size=(3, 4)))
-        np.testing.assert_allclose(
-            ops.log_softmax(x, axis=1).data, np.log(ops.softmax(x, axis=1).data), atol=1e-10
-        )
-
-    def test_softmax_gradcheck(self):
-        x = nn.Tensor(np.random.default_rng(5).normal(size=(2, 3)), requires_grad=True)
-        weights = np.random.default_rng(6).normal(size=(2, 3))
-        nn.check_gradients(lambda: (ops.softmax(x, axis=1) * nn.Tensor(weights)).sum(), [x])
 
 
 class TestConv2d:
@@ -184,36 +149,6 @@ class TestConv2d:
         )
 
 
-class TestPooling:
-    def test_max_pool_forward(self):
-        x = nn.Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = ops.max_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_max_pool_gradient_to_argmax(self):
-        x = nn.Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        ops.max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
-        np.testing.assert_allclose(x.grad[0, 0], expected)
-
-    def test_avg_pool_forward(self):
-        x = nn.Tensor(np.ones((1, 1, 4, 4)) * 8.0)
-        np.testing.assert_allclose(ops.avg_pool2d(x, 2).data, np.full((1, 1, 2, 2), 8.0))
-
-    def test_avg_pool_gradcheck(self):
-        rng = np.random.default_rng(10)
-        x = nn.Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        nn.check_gradients(lambda: (ops.avg_pool2d(x, 2) ** 2).sum(), [x])
-
-    def test_max_pool_gradcheck(self):
-        rng = np.random.default_rng(11)
-        # Distinct values so the argmax is stable under the FD epsilon.
-        data = rng.permutation(32).astype(np.float64).reshape(1, 2, 4, 4)
-        x = nn.Tensor(data, requires_grad=True)
-        nn.check_gradients(lambda: (ops.max_pool2d(x, 2) ** 2).sum(), [x])
-
-
 class TestIm2Col:
     def test_roundtrip_count(self):
         # col2im(ones) counts how many patches cover each pixel.
@@ -229,9 +164,3 @@ class TestIm2Col:
             ]
         )
         np.testing.assert_allclose(counts[0, 0], expected)
-
-    def test_im2col_shapes(self):
-        x = np.zeros((2, 3, 5, 6))
-        cols, oh, ow = ops.im2col(x, (3, 3), (1, 1))
-        assert cols.shape == (2, 27, 12)
-        assert (oh, ow) == (3, 4)

@@ -32,7 +32,7 @@ class TestMLP:
         rng = np.random.default_rng(1)
         x = rng.choice([-1.0, 1.0], size=(256, 2))
         y = x[:, 0] * x[:, 1]  # pure interaction: linear model cannot fit
-        net = nn.Sequential(nn.Linear(2, 16, rng=rng), nn.Tanh(), nn.Linear(16, 1, rng=rng))
+        net = nn.Sequential(nn.Linear(2, 16, rng=rng), nn.ReLU(), nn.Linear(16, 1, rng=rng))
         losses = train(net, x, y, steps=500, lr=0.02)
         assert losses[-1] < 0.05
 
@@ -134,7 +134,7 @@ class TestGANDynamics:
         real_mean = 2.0
         real = rng.normal(real_mean, 0.1, size=(128, 4))
         offset = nn.Parameter(np.zeros(4))
-        disc = nn.Sequential(nn.Linear(4, 8, rng=rng), nn.Tanh(), nn.Linear(8, 1, rng=rng))
+        disc = nn.Sequential(nn.Linear(4, 8, rng=rng), nn.LeakyReLU(0.2), nn.Linear(8, 1, rng=rng))
         g_opt = nn.Adam([offset], lr=0.05)
         d_opt = nn.Adam(disc.parameters(), lr=0.01)
         bce = nn.BCEWithLogitsLoss()

@@ -218,10 +218,9 @@ class TestCheckpointServing:
     def test_swap_rejects_scalerless_checkpoint(
         self, warm_service, served_model, tmp_path
     ):
-        path = save_model(served_model, tmp_path / "v1")
+        path = save_model(served_model, tmp_path / "scalerless")
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["format_version"] = 1
-        manifest.pop("scalers")
+        manifest["scalers"] = None
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="scaler state"):
             warm_service.swap_checkpoint(path)
