@@ -2,6 +2,8 @@
 
 from .dataset import Batch, RolloutBatch, TrafficDataset, iterate_batches
 from .features import (
+    OFF_END,
+    PADDING,
     FactorMask,
     FeatureConfig,
     FeatureScalers,
@@ -9,13 +11,7 @@ from .features import (
     build_features,
     fit_scalers,
 )
-from .graph_features import (
-    GraphFeatureConfig,
-    GraphTrafficDataset,
-    GraphWindowFeatures,
-    GraphWindowLayout,
-    build_graph_features,
-)
+from .graph_features import GraphFeatureConfig, GraphWindowLayout
 from .profile import PSI_EPSILON, SPEED_BIN_EDGES, ReferenceProfile
 from .scaling import LogStandardScaler, MinMaxScaler, StandardScaler, scaler_from_state
 from .split import SplitIndices, consecutive_runs, split_windows
@@ -25,6 +21,8 @@ __all__ = [
     "RolloutBatch",
     "TrafficDataset",
     "iterate_batches",
+    "OFF_END",
+    "PADDING",
     "FactorMask",
     "FeatureConfig",
     "FeatureScalers",
@@ -33,9 +31,6 @@ __all__ = [
     "fit_scalers",
     "GraphWindowLayout",
     "GraphFeatureConfig",
-    "GraphWindowFeatures",
-    "build_graph_features",
-    "GraphTrafficDataset",
     "LogStandardScaler",
     "MinMaxScaler",
     "StandardScaler",

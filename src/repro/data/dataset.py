@@ -7,12 +7,16 @@ a split into the exact tensors each trainer needs:
 * adversarial *rollout groups*: for an anchor window ``i``, the
   ``alpha`` consecutive windows ``i - alpha + 1 .. i`` together with the
   real target sequence the discriminator sees (Section III-A).
+
+The same class serves a corridor (:class:`FeatureConfig`) and a road
+graph (:class:`repro.data.graph_features.GraphFeatureConfig`), for one
+target segment or several.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,7 +69,14 @@ class RolloutBatch:
 
 
 class TrafficDataset:
-    """Features + split for one simulated corridor series.
+    """Features + split for one simulated series.
+
+    Windows stack target-major: block ``i`` holds every window of
+    ``targets[i]``.  The split is drawn **once** for a single target's
+    window range and tiled across blocks with offsets ``i * N`` — a
+    window index is train/validation/test based only on its time
+    position, so no target leaks its test times into another target's
+    train set, and with one target the split is the drawn one.
 
     Parameters
     ----------
@@ -74,9 +85,14 @@ class TrafficDataset:
     config:
         Window geometry and factor mask.
     split:
-        Optional precomputed split; built with defaults otherwise.
+        Optional precomputed split of one target's windows; built with
+        defaults otherwise.
     seed:
         Split RNG seed (only used when ``split`` is None).
+    scalers:
+        Train-fitted scalers; fitted on the whole series otherwise.
+    targets:
+        Target segments (default: the corridor's target).
     """
 
     def __init__(
@@ -86,19 +102,30 @@ class TrafficDataset:
         split: SplitIndices | None = None,
         seed: int = 0,
         scalers: FeatureScalers | None = None,
+        *,
+        targets: Iterable[int] | None = None,
     ):
         self.series = series
         self.config = config if config is not None else FeatureConfig()
         if scalers is None:
             scalers = fit_scalers(series)
-        self.features: WindowFeatures = build_features(series, self.config, scalers)
+        if targets is None:
+            targets = [series.corridor.target_index]
+        self.targets = tuple(int(t) for t in targets)
+        self.features: WindowFeatures = build_features(series, self.config, scalers, self.targets)
+        self._block = block = self.features.num_windows // len(self.targets)
         if split is None:
             split = split_windows(
-                self.features.num_windows,
+                block,
                 window_span=self.config.alpha + self.config.beta,
                 rng=np.random.default_rng(seed),
             )
-        self.split = split
+        offsets = np.arange(len(self.targets), dtype=np.int64) * block
+        self.split = SplitIndices(
+            train=_tile_indices(split.train, offsets),
+            validation=_tile_indices(split.validation, offsets),
+            test=_tile_indices(split.test, offsets),
+        )
         self._flat_cache = self.features.flat()
         self._condition_cache = self.features.condition()
 
@@ -129,14 +156,16 @@ class TrafficDataset:
         """Anchors whose alpha-window history lies entirely in ``subset``.
 
         Anchor ``i`` requires windows ``i - alpha + 1 .. i``; we find them
-        as positions >= alpha - 1 within consecutive index runs.
+        as positions >= alpha - 1 within consecutive index runs, then drop
+        those whose windows would cross a target-block boundary.
         """
         alpha = self.config.alpha
         runs = consecutive_runs(self.subset(subset), min_length=alpha)
         anchors = [run[alpha - 1 :] for run in runs]
         if not anchors:
             return np.array([], dtype=np.int64)
-        return np.concatenate(anchors)
+        anchors = np.concatenate(anchors)
+        return anchors[(anchors - alpha + 1) // self._block == anchors // self._block]
 
     def rollout_batch(self, anchors: np.ndarray) -> RolloutBatch:
         """Materialise the adversarial groups for the given anchors."""
@@ -146,6 +175,9 @@ class TrafficDataset:
         group = (anchors[:, None] + offsets[None, :]).reshape(-1)
         if group.min() < 0:
             raise ValueError("anchor group extends before the first window")
+        blocks = group.reshape(len(anchors), alpha) // self._block
+        if np.any(blocks != (anchors // self._block)[:, None]):
+            raise ValueError("anchor group crosses a target-block boundary")
         return RolloutBatch(
             group_images=self.features.images[group],
             group_day_types=self.features.day_types[group],
@@ -167,6 +199,13 @@ class TrafficDataset:
         """(true km/h targets, last-input km/h) for regime-aware metrics."""
         indices = self.subset(subset)
         return self.features.targets_kmh[indices], self.features.last_input_kmh[indices]
+
+
+def _tile_indices(indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Tile one block's indices across target blocks (sorted output)."""
+    if len(indices) == 0:
+        return np.array([], dtype=np.int64)
+    return (indices[None, :].astype(np.int64) + offsets[:, None]).reshape(-1)
 
 
 def iterate_batches(

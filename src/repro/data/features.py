@@ -11,6 +11,13 @@ Implements the paper's input constructions:
 * the **additional data** ``E = S_adj (+) S_bar`` (Eq 3) that conditions
   the discriminator.
 
+Which segments feed a window is one decision: the config's
+``window_rows`` table, one row per segment with the segment itself at
+column ``m``.  A corridor's table is the ``±m`` index range; a road
+graph's (:class:`repro.data.graph_features.GraphFeatureConfig`) is its
+padded k-hop layout.  :func:`build_features`, the serving store, its
+gate and the fleet's routing all read that table and nothing else.
+
 Section V-B (Q2) fixes the input size to the "both" configuration and
 zero-fills whatever is ablated; :class:`FactorMask` reproduces exactly
 that rule, including the per-factor switches of Table II.
@@ -19,6 +26,7 @@ that rule, including the per-factor switches of Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +34,8 @@ from ..traffic.types import TrafficSeries
 from .scaling import LogStandardScaler, MinMaxScaler, StandardScaler, scaler_from_state
 
 __all__ = [
+    "OFF_END",
+    "PADDING",
     "FactorMask",
     "FeatureConfig",
     "FeatureScalers",
@@ -33,6 +43,14 @@ __all__ = [
     "build_features",
     "fit_scalers",
 ]
+
+
+#: ``window_rows`` sentinel: a graph neighbourhood is short here.  The row
+#: reads zeros after scaling, and the window can still be served.
+PADDING = -1
+#: ``window_rows`` sentinel: the row lies past a corridor end, so the
+#: window is never complete.
+OFF_END = -2
 
 
 @dataclass(frozen=True)
@@ -141,6 +159,16 @@ class FeatureConfig:
         """
         return (self.num_roads - 1 + 4) * self.alpha + 4
 
+    def window_rows(self, num_segments: int) -> np.ndarray:
+        """(num_segments, 2m + 1) segment ids of each window's speed rows.
+
+        Row ``s`` is ``s - m .. s + m`` (Eq 5 order), ``OFF_END`` where
+        that runs past either corridor end.
+        """
+        rows = np.arange(num_segments, dtype=np.int64)[:, None] + np.arange(-self.m, self.m + 1)
+        rows[(rows < 0) | (rows >= num_segments)] = OFF_END
+        return rows
+
     def with_mask(self, mask: FactorMask) -> "FeatureConfig":
         return replace(self, mask=mask)
 
@@ -174,12 +202,15 @@ class FeatureScalers:
 class WindowFeatures:
     """All windows of a series, as aligned arrays.
 
+    Windows stack target-major: one block of equal length per target
+    segment, in the order the targets were given.
+
     Attributes
     ----------
     images:
-        (N, image_rows, alpha) scaled feature image: first ``2m+1`` rows
-        are the adjacent-speed matrix (Eq 6, target road in the middle),
-        then event, temperature, precipitation and hour rows.
+        (N, image_rows, alpha) scaled feature image: first ``num_roads``
+        rows are the adjacent-speed matrix (Eq 6, target road at row
+        ``m``), then event, temperature, precipitation and hour rows.
     day_types:
         (N, 4) day-type bits of each window's last input step.
     targets:
@@ -193,6 +224,8 @@ class WindowFeatures:
         (N,) absolute timestep index of each target.
     config, scalers:
         The geometry and the train-fitted scalers used.
+    segment_ids:
+        (N,) target segment id per window.
     """
 
     images: np.ndarray
@@ -203,10 +236,15 @@ class WindowFeatures:
     target_steps: np.ndarray
     config: FeatureConfig
     scalers: FeatureScalers
+    segment_ids: np.ndarray
 
     @property
     def num_windows(self) -> int:
         return self.images.shape[0]
+
+    @property
+    def windows_per_target(self) -> int:
+        return self.num_windows // len(np.unique(self.segment_ids))
 
     def flat(self, indices: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Flattened (N, flat_dim) view: image rows then day-type bits."""
@@ -258,12 +296,28 @@ def build_features(
     series: TrafficSeries,
     config: FeatureConfig,
     scalers: FeatureScalers | None = None,
+    targets: Iterable[int] | None = None,
 ) -> WindowFeatures:
-    """Extract every valid window of ``series`` under ``config``.
+    """Extract every valid window of each target segment of ``series``.
 
-    Window ``i`` covers input steps ``[i, i + alpha - 1]`` and predicts
-    the target-road speed at step ``i + alpha - 1 + beta``.
+    Window ``i`` of a target covers input steps ``[i, i + alpha - 1]``
+    and predicts that target's speed at step ``i + alpha - 1 + beta``.
+    ``targets`` defaults to the corridor's target segment; several
+    targets stack target-major, one block of windows each.  Per target
+    the speed rows are that target's row of ``config.window_rows``:
+    gathered, scaled, then zeroed where the table reads ``PADDING``.
     """
+    if targets is None:
+        targets = [series.corridor.target_index]
+    target_list = [int(t) for t in targets]
+    if not target_list:
+        raise ValueError("at least one target segment is required")
+    if len(set(target_list)) != len(target_list):
+        raise ValueError("target segments must be unique")
+    n = series.num_segments
+    for t in target_list:
+        if not 0 <= t < n:
+            raise ValueError(f"target {t} outside 0..{n - 1}")
     alpha, beta, m = config.alpha, config.beta, config.m
     total = series.num_steps
     num_windows = total - alpha - beta + 1
@@ -271,60 +325,64 @@ def build_features(
         raise ValueError(
             f"series too short: {total} steps cannot fit alpha={alpha}, beta={beta} windows"
         )
+    table = config.window_rows(n)
+    for t in target_list:
+        if (table[t] == OFF_END).any():
+            raise ValueError(
+                f"corridor has no {m} neighbours on both sides of segment {t} "
+                f"(need indices {t - m}..{t + m}, have 0..{n - 1})"
+            )
     if scalers is None:
         scalers = fit_scalers(series)
 
-    adjacent_rows = series.corridor.adjacent_indices(m)
-    target_row_local = m  # position of the target road inside the matrix
-
-    # Adjacent-speed matrix windows: (R, N, alpha) -> (N, R, alpha).
-    adj = scalers.speed.transform(series.speeds[adjacent_rows])
-    adj_windows = np.transpose(_sliding_windows(adj, alpha, num_windows), (1, 0, 2)).copy()
-
-    # Non-speed channels, each (N, alpha).
-    target_index = series.corridor.target_index
-    event = _sliding_windows(series.events[target_index], alpha, num_windows).copy()
-    temp = _sliding_windows(scalers.temperature.transform(series.temperature), alpha, num_windows).copy()
+    # Shared non-speed channels, each an (N, alpha) view.
+    temp = _sliding_windows(scalers.temperature.transform(series.temperature), alpha, num_windows)
     precip = _sliding_windows(
         scalers.precipitation.transform(series.precipitation), alpha, num_windows
-    ).copy()
-    hour = _sliding_windows(series.hours / 23.0, alpha, num_windows).copy()
-
-    # Apply the Q2 zero-filling rule per factor.
-    mask = config.mask
-    if not mask.adjacent:
-        keep = adj_windows[:, target_row_local, :].copy()
-        adj_windows[:] = 0.0
-        adj_windows[:, target_row_local, :] = keep
-    if not mask.event:
-        event[:] = 0.0
-    if not mask.weather:
-        temp[:] = 0.0
-        precip[:] = 0.0
-
+    )
+    hour = _sliding_windows(series.hours / 23.0, alpha, num_windows)
     last_step = np.arange(num_windows) + alpha - 1
     day_types = series.day_types[last_step].astype(np.float64)
+
+    # Each target's block of the images, filled in place: the speed
+    # matrix rows, then event, temperature, precipitation and hour.
+    mask = config.mask
+    roads = config.num_roads
+    reps = len(target_list)
+    images = np.empty((reps * num_windows, config.image_rows, alpha))
+    for i, t in enumerate(target_list):
+        block = images[i * num_windows : (i + 1) * num_windows]
+        rows = table[t]
+        adj = scalers.speed.transform(series.speeds[np.maximum(rows, 0)])
+        adj[rows == PADDING] = 0.0  # zero after scaling: no speed outside the window leaks in
+        block[:, :roads] = np.transpose(_sliding_windows(adj, alpha, num_windows), (1, 0, 2))
+        block[:, roads] = _sliding_windows(series.events[t], alpha, num_windows)
+        block[:, roads + 1] = temp
+        block[:, roads + 2] = precip
+        block[:, roads + 3] = hour
+
+    # Apply the Q2 zero-filling rule per factor.
+    if not mask.adjacent:
+        images[:, :m] = 0.0
+        images[:, m + 1 : roads] = 0.0
+    if not mask.event:
+        images[:, roads] = 0.0
+    if not mask.weather:
+        images[:, roads + 1 : roads + 3] = 0.0
     if not mask.time:
-        hour[:] = 0.0
+        images[:, roads + 3] = 0.0
         day_types = np.zeros_like(day_types)
 
-    images = np.concatenate(
-        [adj_windows, event[:, None, :], temp[:, None, :], precip[:, None, :], hour[:, None, :]],
-        axis=1,
-    )
-
     target_steps = last_step + beta
-    target_kmh = series.speeds[target_index, target_steps]
-    last_input_kmh = series.speeds[target_index, last_step]
-    targets = scalers.speed.transform(target_kmh)
-
+    target_kmh = series.speeds[target_list][:, target_steps].reshape(-1)
     return WindowFeatures(
         images=images,
-        day_types=day_types,
-        targets=targets,
+        day_types=np.concatenate([day_types] * reps, axis=0),
+        targets=scalers.speed.transform(target_kmh),
         targets_kmh=target_kmh,
-        last_input_kmh=last_input_kmh,
-        target_steps=target_steps,
+        last_input_kmh=series.speeds[target_list][:, last_step].reshape(-1),
+        target_steps=np.concatenate([target_steps] * reps),
         config=config,
         scalers=scalers,
+        segment_ids=np.repeat(np.array(target_list, dtype=np.int64), num_windows),
     )

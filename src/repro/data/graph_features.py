@@ -1,13 +1,15 @@
-"""Graph-neighbourhood feature windows: the city-scale generalisation
-of the corridor pipeline.
+"""Graph-neighbourhood window geometry: the city-scale generalisation
+of the corridor's ``±m`` rows.
 
 The corridor's adjacent-speed matrix (Eq 5/6) reads rows ``target - m ..
 target + m`` — index arithmetic that doubles as adjacency because a
 corridor is a path.  On a :class:`repro.network.graph.RoadGraph` the
 analogue of the ``±m`` window is the ``k_hop_neighbourhood``: the sorted
-set of segments within ``k`` undirected hops.  This module assembles
-model-ready windows from those neighbourhoods under a **canonical,
-padded, masked layout** chosen so that:
+set of segments within ``k`` undirected hops.  This module fixes a
+**canonical, padded layout** of those neighbourhoods, and
+:class:`GraphFeatureConfig` hands it to the one window builder
+(:func:`repro.data.features.build_features`) as its ``window_rows``
+table.  The layout is chosen so that:
 
 * every target's image has the same shape (predictors keep their fixed
   ``flat_dim``), with absent rows zero-filled after scaling and marked
@@ -18,15 +20,15 @@ padded, masked layout** chosen so that:
   work unchanged through the duck-typed ``m`` property;
 * on a :func:`repro.network.graph.from_corridor` path graph with the
   target ``k`` hops from both ends, the layout row of the target is
-  exactly ``corridor.adjacent_indices(k)`` — the windows reduce
-  **bitwise** to the corridor pipeline (pinned by tests).
+  exactly the corridor's ``±k`` row — the windows reduce **bitwise** to
+  the corridor's (pinned by tests).
 
 Layout rule (per target ``s`` with sorted k-hop set ``N(s)``): split
 ``N(s)`` into ``lower = [t < s]`` and ``upper = [t > s]``.  With
 ``p = max_s |lower(s)|`` and ``q = max_s |upper(s)|`` over all segments,
 the image has ``p + 1 + q`` speed rows; ``lower`` is right-aligned
 ending at row ``p - 1``, the target occupies row ``p`` and ``upper`` is
-left-aligned from row ``p + 1``.  Unused rows carry id ``-1`` (padding).
+left-aligned from row ``p + 1``.  Unused rows carry ``PADDING`` (-1).
 Because BFS ids are contiguous within a neighbourhood block, a corridor
 interior neighbourhood has exactly ``k`` lower and ``k`` upper ids and
 the rule reproduces ``[s-k .. s+k]`` in order.
@@ -35,27 +37,14 @@ the rule reproduces ``[s-k .. s+k]`` in order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..traffic.types import TrafficSeries
-from .features import (
-    FactorMask,
-    FeatureScalers,
-    WindowFeatures,
-    _sliding_windows,
-    fit_scalers,
-)
-from .split import SplitIndices, consecutive_runs, split_windows
+from .dataset import TrafficDataset
+from .features import PADDING, FactorMask
 
-__all__ = [
-    "GraphWindowLayout",
-    "GraphFeatureConfig",
-    "GraphWindowFeatures",
-    "build_graph_features",
-    "GraphTrafficDataset",
-]
+__all__ = ["GraphWindowLayout", "GraphFeatureConfig"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,8 @@ class GraphWindowLayout:
     """Canonical padded neighbour layout of every segment's input image.
 
     ``rows[s]`` lists, for target segment ``s``, the segment id feeding
-    each speed row of its image, with ``-1`` marking padding rows.  The
-    target id ``s`` always sits at index ``target_row``.
+    each speed row of its image, with ``PADDING`` (-1) marking padding
+    rows.  The target id ``s`` always sits at index ``target_row``.
     """
 
     num_segments: int
@@ -90,7 +79,7 @@ class GraphWindowLayout:
             if row[self.target_row] != s:
                 raise ValueError(f"rows[{s}] does not place the target at target_row")
             for t in row:
-                if t != -1 and not 0 <= t < self.num_segments:
+                if t != PADDING and not 0 <= t < self.num_segments:
                     raise ValueError(f"rows[{s}] references unknown segment {t}")
         rows_array = np.array(self.rows, dtype=np.int64)
         object.__setattr__(self, "_rows_array", rows_array)
@@ -98,7 +87,7 @@ class GraphWindowLayout:
 
     @property
     def rows_array(self) -> np.ndarray:
-        """(num_segments, num_rows) int64 row->segment map, -1 = padding."""
+        """(num_segments, num_rows) int64 row->segment map, ``PADDING`` = padding."""
         return self._rows_array
 
     @property
@@ -137,7 +126,7 @@ class GraphWindowLayout:
         num_rows = p + 1 + q
         rows = []
         for s in range(num_segments):
-            row = [-1] * num_rows
+            row = [PADDING] * num_rows
             lo, up = lowers[s], uppers[s]
             row[p - len(lo) : p] = lo
             row[p] = s
@@ -160,8 +149,8 @@ class GraphFeatureConfig:
     ``flat_dim``, ``condition_dim``) mirror ``FeatureConfig`` exactly,
     with the layout's ``target_row`` playing the role of ``m``: every
     consumer that indexes the target row via ``features.m`` — the
-    persistence baselines, the discriminator condition, the serving
-    gate's quarantine neighbourhood — works unchanged.
+    persistence baselines, the discriminator condition — works
+    unchanged, and ``window_rows`` returns the layout's row table.
     """
 
     layout: GraphWindowLayout
@@ -196,248 +185,17 @@ class GraphFeatureConfig:
     def condition_dim(self) -> int:
         return (self.num_roads - 1 + 4) * self.alpha + 4
 
+    def window_rows(self, num_segments: int) -> np.ndarray:
+        """The layout's row table; see :meth:`FeatureConfig.window_rows`."""
+        if self.layout.num_segments != num_segments:
+            raise ValueError(
+                f"layout covers {self.layout.num_segments} segments, not {num_segments}"
+            )
+        return self.layout.rows_array
+
     def with_mask(self, mask: FactorMask) -> "GraphFeatureConfig":
         return replace(self, mask=mask)
 
 
-@dataclass
-class GraphWindowFeatures(WindowFeatures):
-    """Windows of several graph targets, stacked target-major.
-
-    The arrays concatenate one :class:`WindowFeatures`-shaped block per
-    target; ``segment_ids[i]`` names the target segment window ``i``
-    predicts.  Blocks all have ``windows_per_target`` windows.
-    """
-
-    segment_ids: np.ndarray  # (N,) target segment id per window
-
-    @property
-    def windows_per_target(self) -> int:
-        return self.num_windows // len(np.unique(self.segment_ids))
-
-
-def build_graph_features(
-    series: TrafficSeries,
-    config: GraphFeatureConfig,
-    targets: Iterable[int],
-    scalers: FeatureScalers | None = None,
-) -> GraphWindowFeatures:
-    """Extract every valid window of each target's graph neighbourhood.
-
-    Per target the construction is **bitwise-parallel** to
-    :func:`build_features`: gather the layout rows (padding rows read
-    row 0), scale, zero the padding rows *after* scaling, then apply the
-    identical sliding-window / non-speed-channel / Q2-mask recipe.  On a
-    ``from_corridor`` layout with an interior target there is no padding
-    and the gathered rows equal ``corridor.adjacent_indices(m)``, so the
-    output is bit-identical to the corridor pipeline.
-    """
-    layout = config.layout
-    if layout.num_segments != series.num_segments:
-        raise ValueError(
-            f"layout covers {layout.num_segments} segments, series has {series.num_segments}"
-        )
-    target_list = [int(t) for t in targets]
-    if not target_list:
-        raise ValueError("at least one target segment is required")
-    if len(set(target_list)) != len(target_list):
-        raise ValueError("target segments must be unique")
-    for t in target_list:
-        if not 0 <= t < series.num_segments:
-            raise ValueError(f"target {t} outside 0..{series.num_segments - 1}")
-
-    alpha, beta = config.alpha, config.beta
-    total = series.num_steps
-    num_windows = total - alpha - beta + 1
-    if num_windows <= 0:
-        raise ValueError(
-            f"series too short: {total} steps cannot fit alpha={alpha}, beta={beta} windows"
-        )
-    if scalers is None:
-        scalers = fit_scalers(series)
-
-    mask = config.mask
-    target_row_local = layout.target_row
-
-    # Shared non-speed channels (target-independent), each (N, alpha).
-    temp = _sliding_windows(scalers.temperature.transform(series.temperature), alpha, num_windows).copy()
-    precip = _sliding_windows(
-        scalers.precipitation.transform(series.precipitation), alpha, num_windows
-    ).copy()
-    hour = _sliding_windows(series.hours / 23.0, alpha, num_windows).copy()
-    if not mask.weather:
-        temp[:] = 0.0
-        precip[:] = 0.0
-
-    last_step = np.arange(num_windows) + alpha - 1
-    day_types_one = series.day_types[last_step].astype(np.float64)
-    if not mask.time:
-        hour[:] = 0.0
-        day_types_one = np.zeros_like(day_types_one)
-    target_steps_one = last_step + beta
-
-    image_blocks = []
-    target_blocks = []
-    target_kmh_blocks = []
-    last_kmh_blocks = []
-    for t in target_list:
-        rows = layout.rows_array[t]
-        safe = np.maximum(rows, 0)  # padding rows read row 0, zeroed below
-        adj = scalers.speed.transform(series.speeds[safe])
-        adj[rows < 0] = 0.0  # zero padding after scaling: outside-k-hop speeds never leak
-        adj_windows = np.transpose(_sliding_windows(adj, alpha, num_windows), (1, 0, 2)).copy()
-
-        event = _sliding_windows(series.events[t], alpha, num_windows).copy()
-        if not mask.adjacent:
-            keep = adj_windows[:, target_row_local, :].copy()
-            adj_windows[:] = 0.0
-            adj_windows[:, target_row_local, :] = keep
-        if not mask.event:
-            event[:] = 0.0
-
-        image_blocks.append(
-            np.concatenate(
-                [adj_windows, event[:, None, :], temp[:, None, :], precip[:, None, :], hour[:, None, :]],
-                axis=1,
-            )
-        )
-        target_kmh = series.speeds[t, target_steps_one]
-        target_kmh_blocks.append(target_kmh)
-        last_kmh_blocks.append(series.speeds[t, last_step])
-        target_blocks.append(scalers.speed.transform(target_kmh))
-
-    reps = len(target_list)
-    return GraphWindowFeatures(
-        images=np.concatenate(image_blocks, axis=0),
-        day_types=np.concatenate([day_types_one] * reps, axis=0),
-        targets=np.concatenate(target_blocks),
-        targets_kmh=np.concatenate(target_kmh_blocks),
-        last_input_kmh=np.concatenate(last_kmh_blocks),
-        target_steps=np.concatenate([target_steps_one] * reps),
-        config=config,
-        scalers=scalers,
-        segment_ids=np.repeat(np.array(target_list, dtype=np.int64), num_windows),
-    )
-
-
-class GraphTrafficDataset:
-    """Graph-window dataset with the full :class:`TrafficDataset` surface.
-
-    Windows stack target-major: block ``i`` holds every window of
-    ``targets[i]``.  The split is drawn **once** for a single target's
-    window range and tiled across blocks with offsets ``i * N`` — a
-    window index is train/validation/test based only on its time
-    position, so no target leaks its test times into another target's
-    train set, and the single-target case reproduces
-    :class:`TrafficDataset`'s split (and therefore its training path)
-    bitwise.
-    """
-
-    def __init__(
-        self,
-        series: TrafficSeries,
-        config: GraphFeatureConfig,
-        targets: Iterable[int] | None = None,
-        split: SplitIndices | None = None,
-        seed: int = 0,
-        scalers: FeatureScalers | None = None,
-    ):
-        self.series = series
-        self.config = config
-        if targets is None:
-            targets = [series.corridor.target_index]
-        self.targets = tuple(int(t) for t in targets)
-        if scalers is None:
-            scalers = fit_scalers(series)
-        self.features: GraphWindowFeatures = build_graph_features(
-            series, config, self.targets, scalers
-        )
-        block = self.features.num_windows // len(self.targets)
-        self._block = block
-        if split is None:
-            split = split_windows(
-                block,
-                window_span=config.alpha + config.beta,
-                rng=np.random.default_rng(seed),
-            )
-        self._base_split = split
-        offsets = np.arange(len(self.targets), dtype=np.int64) * block
-        self.split = SplitIndices(
-            train=_tile_indices(split.train, offsets),
-            validation=_tile_indices(split.validation, offsets),
-            test=_tile_indices(split.test, offsets),
-        )
-        self._flat_cache = self.features.flat()
-        self._condition_cache = self.features.condition()
-
-    # ------------------------------------------------------------------
-    # Plain supervised access (TrafficDataset duck-type)
-    # ------------------------------------------------------------------
-    def subset(self, name: str) -> np.ndarray:
-        try:
-            return getattr(self.split, name)
-        except AttributeError:
-            raise KeyError(f"unknown subset {name!r}; use train/validation/test") from None
-
-    def batch(self, indices: np.ndarray):
-        from .dataset import Batch
-
-        return Batch(
-            images=self.features.images[indices],
-            day_types=self.features.day_types[indices],
-            flat=self._flat_cache[indices],
-            targets=self.features.targets[indices],
-            indices=np.asarray(indices),
-        )
-
-    # ------------------------------------------------------------------
-    # Adversarial rollout access
-    # ------------------------------------------------------------------
-    def rollout_anchors(self, subset: str = "train") -> np.ndarray:
-        """Anchors per block: runs never cross a target-block boundary."""
-        alpha = self.config.alpha
-        runs = consecutive_runs(getattr(self._base_split, subset), min_length=alpha)
-        base = [run[alpha - 1 :] for run in runs]
-        if not base:
-            return np.array([], dtype=np.int64)
-        base_anchors = np.concatenate(base)
-        offsets = np.arange(len(self.targets), dtype=np.int64) * self._block
-        return _tile_indices(base_anchors, offsets)
-
-    def rollout_batch(self, anchors: np.ndarray):
-        from .dataset import RolloutBatch
-
-        alpha = self.config.alpha
-        anchors = np.asarray(anchors, dtype=np.int64)
-        offsets = np.arange(-(alpha - 1), 1)
-        group = (anchors[:, None] + offsets[None, :]).reshape(-1)
-        if group.min() < 0:
-            raise ValueError("anchor group extends before the first window")
-        if np.any(group.reshape(len(anchors), alpha) // self._block != (anchors // self._block)[:, None]):
-            raise ValueError("anchor group crosses a target-block boundary")
-        return RolloutBatch(
-            group_images=self.features.images[group],
-            group_day_types=self.features.day_types[group],
-            group_flat=self._flat_cache[group],
-            group_targets=self.features.targets[group],
-            condition=self._condition_cache[anchors],
-            anchor_targets=self.features.targets[anchors],
-            anchors=anchors,
-        )
-
-    # ------------------------------------------------------------------
-    # Metrics support
-    # ------------------------------------------------------------------
-    def kmh(self, scaled: np.ndarray) -> np.ndarray:
-        return self.features.scalers.speed.inverse_transform(scaled)
-
-    def evaluation_arrays(self, subset: str = "test") -> tuple[np.ndarray, np.ndarray]:
-        indices = self.subset(subset)
-        return self.features.targets_kmh[indices], self.features.last_input_kmh[indices]
-
-
-def _tile_indices(indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Tile one block's indices across target blocks (sorted output)."""
-    if len(indices) == 0:
-        return np.array([], dtype=np.int64)
-    return (indices[None, :].astype(np.int64) + offsets[:, None]).reshape(-1)
+#: The one dataset class serves graph configs too; the name stays for its importers.
+GraphTrafficDataset = TrafficDataset

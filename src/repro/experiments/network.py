@@ -14,7 +14,7 @@ city:
    (:func:`repro.routing.traverse_path_minutes` on explicit paths);
 5. **train graph-neighbourhood models** (supervised F and adversarial
    APOTS_F) on the baseline stream's k-hop windows
-   (:class:`repro.data.GraphTrafficDataset`), then replay the stressed
+   (:class:`repro.data.TrafficDataset` over several targets), then replay the stressed
    stream through them and report per-regime errors and per-phase MAE
    degradation — does the model see the cascade coming?
 
@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.zoo import model_fingerprint
-from ..data.graph_features import GraphFeatureConfig, GraphTrafficDataset
+from ..data.dataset import TrafficDataset
+from ..data.graph_features import GraphFeatureConfig
 from ..data.split import SplitIndices
 from ..network.demand import gravity_od_matrix, segment_demand_weights, zones_from_graph
 from ..network.features import graph_window_layout
@@ -195,13 +196,13 @@ def _train_and_stress(
     config = GraphFeatureConfig(
         layout=graph_window_layout(graph, NEIGHBOURHOOD_HOPS), beta=EXPERIMENT_BETA
     )
-    train_ds = GraphTrafficDataset(baseline, config, targets, seed=seed)
+    train_ds = TrafficDataset(baseline, config, seed=seed, targets=targets)
     scalers = train_ds.features.scalers
     block = train_ds.features.num_windows // len(targets)
     eval_split = _all_test_split(block)
     eval_sets = {
-        name: GraphTrafficDataset(
-            series, config, targets, split=eval_split, seed=seed, scalers=scalers
+        name: TrafficDataset(
+            series, config, split=eval_split, seed=seed, scalers=scalers, targets=targets
         )
         for name, series in (("baseline", baseline), ("stress", stressed))
     }

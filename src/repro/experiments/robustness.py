@@ -135,9 +135,9 @@ def _gate_drill(model, dataset, attack_name: str, epsilon: float, seed: int) -> 
     """Route the attack through a gated live service; count quarantines."""
     series = dataset.series
     config = dataset.config
-    alpha, m = config.alpha, config.m
+    alpha = config.alpha
     target = series.corridor.target_index
-    neighbourhood = series.corridor.adjacent_indices(m)
+    neighbourhood = config.window_rows(series.num_segments)[target].tolist()
 
     # A sustained PGD perturbation is a near-constant offset, so its
     # tick-to-tick jumps look natural; the detectable signature is the

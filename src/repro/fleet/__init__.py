@@ -5,13 +5,14 @@ fleet of persistent shard replicas on the
 :class:`repro.parallel.WorkerGroup` substrate:
 
 * :mod:`router` — :class:`ShardMap`: deterministic contiguous
-  segment → shard partition with halo routing for window neighbours;
+  segment → shard partition;
 * :mod:`replica` — :class:`ShardReplica` / :class:`ReplicaSpec`: the
   full per-shard service living inside each worker process;
 * :mod:`admission` — :class:`AdmissionController`: bounded per-shard
   queues for the open-loop path; overflow sheds to naive persistence,
   never drops silently;
-* :mod:`fleet` — :class:`ForecastFleet`: halo ingest routing,
+* :mod:`fleet` — :class:`ForecastFleet`: halo ingest routing from the
+  model's ``window_rows`` table,
   cross-shard ``predict_many`` scatter/gather (bitwise-invariant to
   shard count; ``shards=1`` stays process-free), shard-loss degradation
   and ``fleet_*`` obs events;

@@ -16,7 +16,7 @@ Determinism contract (pinned by ``tests/fleet`` and
 :mod:`repro.parallel` convention), ``shards=N`` splits the same batch
 across replicas whose padded micro-batches are already pinned
 batch/single-equivalent, and halo ingestion keeps every owned window's
-``2m + 1`` neighbour rows complete at shard boundaries.
+neighbour rows complete at shard boundaries.
 
 Failure and overload policy — *shed to naive persistence, never drop
 silently*:
@@ -143,25 +143,13 @@ class ForecastFleet:
         self.features = model.features
         self.num_segments = num_segments
         self.shard_map = ShardMap(num_segments, shards, starts=shard_starts)
-        # Graph-neighbourhood checkpoints carry a row layout (duck-typed;
-        # the fleet layer cannot import repro.data).  A corridor halo is a
-        # contiguous ±m range, but a k-hop halo straddles shard cuts
-        # arbitrarily, so we precompute each observation's covering shards
-        # from the layout: shard r needs segment s iff some segment t it
-        # owns reads row s — and since undirected k-hop distance is
-        # symmetric, that is exactly t ∈ valid_rows(s).
-        layout = getattr(self.features, "layout", None)
-        if layout is not None and layout.num_segments != num_segments:
-            raise ValueError(
-                f"checkpoint layout covers {layout.num_segments} segments, "
-                f"fleet has {num_segments}"
-            )
-        self._covering_shards: list[tuple[int, ...]] | None = None
-        if layout is not None and shards > 1:
-            self._covering_shards = [
-                tuple(sorted({self.shard_map.shard_of(t) for t in layout.valid_rows(seg)}))
-                for seg in range(num_segments)
-            ]
+        # Each observation's covering shards, from the checkpoint's
+        # window_rows table.  One shard serves in-process: nothing to route.
+        self._covering_shards = (
+            self.shard_map.covering_shards(self.features.window_rows(num_segments))
+            if shards > 1
+            else []
+        )
         self.admission = AdmissionController(shards, max_queue_per_shard)
         self.telemetry = Telemetry()
         self._recorder = recorder
@@ -282,12 +270,6 @@ class ForecastFleet:
         """
         check_batch(observations, self._latest_step.tolist())
 
-    def _shards_for(self, segment_id: int):
-        """Shards whose replicas need this segment's observations."""
-        if self._covering_shards is not None:
-            return self._covering_shards[segment_id]
-        return self.shard_map.shards_for_observation(segment_id, self.features.m)
-
     def ingest(self, observation: Observation) -> None:
         self.ingest_many([observation])
 
@@ -298,10 +280,6 @@ class ForecastFleet:
         if not observations:
             return 0
         self._validate_stream(observations)
-        per_shard: dict[int, list[Observation]] = {}
-        for obs in observations:
-            for shard in self._shards_for(obs.segment_id):
-                per_shard.setdefault(shard, []).append(obs)
         # Parent bookkeeping first: shed answers must stay fresh even if
         # a replica dies inside this very scatter.
         for obs in observations:
@@ -311,6 +289,10 @@ class ForecastFleet:
         if self._local is not None:
             self._local.ingest_many(observations)
         else:
+            per_shard: dict[int, list[Observation]] = {}
+            for obs in observations:
+                for shard in self._covering_shards[obs.segment_id]:
+                    per_shard.setdefault(shard, []).append(obs)
             self._scatter_call(
                 {shard: ("ingest_batch", (batch,)) for shard, batch in per_shard.items()}
             )
@@ -326,7 +308,10 @@ class ForecastFleet:
             self._local.store.reset_segment(segment_id)
         else:
             self._scatter_call(
-                {shard: ("reset_segment", (segment_id,)) for shard in self._shards_for(segment_id)}
+                {
+                    shard: ("reset_segment", (segment_id,))
+                    for shard in self._covering_shards[segment_id]
+                }
             )
 
     # ------------------------------------------------------------------

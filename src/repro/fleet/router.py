@@ -1,12 +1,13 @@
 """Deterministic segment → shard routing for the forecast fleet.
 
-:class:`ShardMap` partitions a corridor of ``num_segments`` into
-``num_shards`` *contiguous* balanced ranges.  Contiguity is what makes
-sharded serving bitwise-equal to a single service: a model window reads
-the target segment plus ``m`` neighbours on each side, so the owner of
-a contiguous range only ever needs a *halo* of ``m`` extra segments per
-boundary — observations for a segment are routed to every shard whose
-halo covers it (at most a handful, and exactly one owner).
+:class:`ShardMap` partitions a corridor or road graph of
+``num_segments`` into ``num_shards`` *contiguous* balanced ranges, and
+each shard answers queries for the segments it owns.  A shard also
+needs the observations of every segment its owned windows read, its
+*halo*: :meth:`ShardMap.covering_shards` names, from the model's
+``window_rows`` table, the shards that read each segment, and the fleet
+routes every observation to them, so sharded serving stays
+bitwise-equal to a single service.
 
 The map is a pure function of ``(num_segments, num_shards)``: no
 hashing, no registration order, no randomness.  Two processes that
@@ -37,9 +38,8 @@ class ShardMap:
     ``starts`` overrides the balanced cut positions with explicit ones
     (``starts[0] == 0``, strictly increasing, all below
     ``num_segments``) — how graph-aware partitions from
-    ``repro.network.sharding`` reach the fleet as plain data.  Every
-    routing property (contiguous ownership, halo coverage, contiguous
-    ``shards_for_observation``) holds for any valid ``starts``.
+    ``repro.network.sharding`` reach the fleet as plain data.
+    Contiguous ownership holds for any valid ``starts``.
     """
 
     num_segments: int
@@ -100,31 +100,22 @@ class ShardMap:
         )
         return lo, hi
 
-    def halo_range(self, shard: int, m: int) -> tuple[int, int]:
-        """Owned range widened by ``m`` neighbours per side (clipped).
+    def covering_shards(self, window_rows) -> list[tuple[int, ...]]:
+        """Per segment, the shards whose owned windows read it, ascending.
 
-        These are the segments whose observations the shard must ingest
-        so every *owned* segment's ``2m + 1``-row window stays complete.
+        ``window_rows`` is the model's ``(num_segments, rows)`` table:
+        row ``t`` lists the segments window ``t`` reads, itself included,
+        and a negative entry reads nothing.  Shard ``r`` needs segment
+        ``s``'s observations iff it owns some ``t`` whose row holds ``s``,
+        so every segment's list holds its owner.
         """
-        if m < 0:
-            raise ValueError("m must be non-negative")
-        lo, hi = self.owned_range(shard)
-        return max(0, lo - m), min(self.num_segments, hi + m)
-
-    def shards_for_observation(self, segment_id: int, m: int) -> range:
-        """Every shard whose ``m``-halo covers ``segment_id``.
-
-        A shard's halo covers ``segment_id`` iff the shard owns some
-        segment in ``[segment_id - m, segment_id + m]``; owners of a
-        contiguous range are themselves contiguous, so the answer is a
-        ``range`` of shard ids (always containing the owner).
-        """
-        if m < 0:
-            raise ValueError("m must be non-negative")
-        self.check_segment(segment_id)
-        first = self.shard_of(max(0, segment_id - m))
-        last = self.shard_of(min(self.num_segments - 1, segment_id + m))
-        return range(first, last + 1)
+        covering: list[set[int]] = [set() for _ in range(self.num_segments)]
+        for t, rows in enumerate(window_rows.tolist()):
+            shard = self.shard_of(t)
+            for s in rows:
+                if s >= 0:
+                    covering[s].add(shard)
+        return [tuple(sorted(shards)) for shards in covering]
 
     # ------------------------------------------------------------------
     def _check_shard(self, shard: int) -> None:

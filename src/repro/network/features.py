@@ -25,8 +25,8 @@ def graph_window_layout(graph: RoadGraph, k: int) -> GraphWindowLayout:
 
     On a :func:`from_corridor` path graph with ``len >= 2k + 1`` the
     layout has ``target_row == k`` and ``num_rows == 2k + 1``, and every
-    interior segment's row list is ``[s - k, ..., s + k]`` — exactly the
-    corridor's ``adjacent_indices(k)``.
+    interior segment's row list is ``[s - k, ..., s + k]`` — exactly its
+    row of the corridor's ``FeatureConfig(m=k).window_rows``.
     """
     n = len(graph)
     hoods = [graph.k_hop_neighbourhood(s, k) for s in range(n)]

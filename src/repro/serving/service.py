@@ -21,10 +21,11 @@ Degradation policy (also documented in DESIGN.md): a query the model
 cannot answer falls back to the *naive persistence forecast* — the
 segment's last observed speed — and is flagged ``degraded`` with a
 reason.  This covers segments whose window is still warming up or lags
-its neighbours, corridor-edge segments that lack ``m`` neighbours on a
-side, and horizons the model was not trained for.  Only a segment with
-no observations at all is a hard :class:`IncompleteWindowError`: there
-is nothing defensible to say about it.
+its neighbours, corridor-edge segments whose window runs past a
+corridor end, and horizons the model was not trained for.  Only a
+segment with no observations at all is a hard
+:class:`IncompleteWindowError`: there is nothing defensible to say
+about it.
 """
 
 from __future__ import annotations
@@ -297,20 +298,13 @@ class ForecastService:
     def _gate_quarantined(self, segment_id: int) -> bool:
         """Whether the gate quarantines this segment's *window*.
 
-        The model's window reads the segment and its ``m`` neighbours on
-        each side — or, under a graph layout, its k-hop neighbourhood —
-        so a poisoned neighbour taints the forecast just as much as a
-        poisoned target.
+        The model's window reads every segment of the store's
+        :meth:`~SegmentStateStore.neighbourhood`, so a poisoned neighbour
+        taints the forecast just as much as a poisoned target.
         """
         if self.gate is None:
             return False
-        layout = getattr(self._model.features, "layout", None)
-        if layout is not None:
-            neighbourhood = layout.valid_rows(segment_id)
-        else:
-            m = self._model.features.m
-            neighbourhood = range(segment_id - m, segment_id + m + 1)
-        return any(self.gate.is_quarantined(neighbour) for neighbour in neighbourhood)
+        return any(map(self.gate.is_quarantined, self.store.neighbourhood(segment_id)))
 
     def _gate_naive(self, segment_id: int, horizon: int) -> Forecast:
         """Degrade a quarantined segment, persisting the last trusted speed.

@@ -11,6 +11,13 @@ the ``(image, day_type, flat)`` arrays the predictors consume,
 bit-for-bit identical to what ``build_features`` would produce for the
 same steps (covered by ``tests/serving/test_state.py``).
 
+Which segments feed a window is the model config's ``window_rows``
+table, read once at construction: a corridor's ``±m`` rows or a road
+graph's padded k-hop layout.  The store keeps it as one array of row
+slots — segment ids, then the zero row for graph padding and a
+never-ready slot for rows past a corridor end — and readiness, window
+assembly and the gate's neighbourhood all index that array.
+
 :meth:`SegmentStateStore.windows_many` assembles many segments' windows
 with a handful of vectorised gathers instead of per-segment python
 loops; it is the reason ``predict_many`` amortises not just the model
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.features import FeatureConfig, FeatureScalers
+from ..data.features import PADDING, FeatureConfig, FeatureScalers
 from .errors import (
     IncompleteWindowError,
     InvalidObservationError,
@@ -211,14 +218,15 @@ class _ContextRing:
 
 
 class SegmentStateStore:
-    """Ring-buffered rolling state for every segment of a corridor.
+    """Ring-buffered rolling state for every segment of a corridor or road graph.
 
     Parameters
     ----------
     num_segments:
         Corridor length; observations and queries index into it.
     features:
-        Window geometry of the model being served (alpha, m, mask).
+        Window geometry of the model being served (alpha, m, mask and
+        its ``window_rows`` table).
     scalers:
         The model's train-fitted scalers — raw km/h, degrees and mm go in,
         model-scaled features come out.
@@ -243,13 +251,14 @@ class SegmentStateStore:
         self.num_segments = num_segments
         self.features = features
         self._scalers = scalers
-        # Graph-neighbourhood configs carry a row layout; corridor configs
-        # don't (duck-typed so repro.data.graph_features stays optional).
-        self._layout = getattr(features, "layout", None)
-        if self._layout is not None and self._layout.num_segments != num_segments:
-            raise ValueError(
-                f"layout covers {self._layout.num_segments} segments, store has {num_segments}"
-            )
+        # Each segment's window rows as slots into the per-update arrays:
+        # a segment id, n for a graph padding row (it reads the zero row
+        # and never holds a window back) or n + 1 for a row past a
+        # corridor end (a window that is never complete).
+        table = features.window_rows(num_segments)
+        self._rows = np.where(
+            table >= 0, table, np.where(table == PADDING, num_segments, num_segments + 1)
+        )
         self.interval_minutes = interval_minutes
         self.steps_per_day = (24 * 60) // interval_minutes
         capacity = features.alpha if capacity is None else capacity
@@ -261,18 +270,7 @@ class SegmentStateStore:
         self._latest = np.full(num_segments, -1, dtype=np.int64)  # -1 = no data
         self._count = np.zeros(num_segments, dtype=np.int64)  # contiguous run length
         self._context = _ContextRing(capacity, width=6)
-        # Readiness: each segment's adjacent-row slots into the per-update
-        # row spans (see _ready_mask).  Slot n is a graph padding row, slot
-        # n + 1 a row off either corridor end.
-        m = features.m
-        if self._layout is None:
-            rows = np.arange(num_segments)[:, None] + np.arange(-m, m + 1)
-            rows[(rows < 0) | (rows >= num_segments)] = num_segments + 1
-        else:
-            rows = np.where(self._layout.rows_array >= 0, self._layout.rows_array, num_segments)
-        self._readiness_rows = rows
         self._window_offsets = np.arange(-(features.alpha - 1), 1)  # steps of a window, to its end
-        self._row_offsets = np.arange(-m, m + 1)  # corridor rows of a window, to its segment
         self._spans: tuple[np.ndarray, np.ndarray] | None = None
         # Per-update window memo: segment -> WindowView | IncompleteWindowError,
         # plus the fill windows not read yet (segment -> block and row), and
@@ -410,6 +408,12 @@ class SegmentStateStore:
         latest = int(self._latest[segment_id])
         return None if latest < 0 else latest
 
+    def neighbourhood(self, segment_id: int) -> list[int]:
+        """The segments ``segment_id``'s window reads, itself included."""
+        self._check_segment(segment_id)
+        rows = self._rows[segment_id]
+        return rows[rows < self.num_segments].tolist()
+
     def last_speed_kmh(self, segment_id: int) -> float:
         """Most recent raw speed; the naive-degradation forecast."""
         self._check_segment(segment_id)
@@ -429,20 +433,13 @@ class SegmentStateStore:
     def _readiness_error(self, segment_id: int) -> IncompleteWindowError | None:
         """Why this segment's window cannot be assembled right now."""
         alpha, m = self.features.alpha, self.features.m
-        if self._layout is None:
-            lo, hi = segment_id - m, segment_id + m
-            if lo < 0 or hi >= self.num_segments:
-                return IncompleteWindowError(
-                    f"segment {segment_id} needs {m} neighbours on each side "
-                    f"(corridor 0..{self.num_segments - 1}); edge segments are "
-                    f"served by the naive fallback"
-                )
-            neighbour_rows = None
-        else:
-            # Graph layout: padding rows absorb short neighbourhoods, so
-            # there is no edge condition — only the real rows must be fresh.
-            row = self._layout.rows_array[segment_id]
-            neighbour_rows = row[row >= 0]
+        rows = self._rows[segment_id]
+        if (rows > self.num_segments).any():
+            return IncompleteWindowError(
+                f"segment {segment_id} needs {m} neighbours on each side "
+                f"(corridor 0..{self.num_segments - 1}); edge segments are "
+                f"served by the naive fallback"
+            )
         end = int(self._latest[segment_id])
         if end < 0 or self._count[segment_id] < alpha:
             have = max(int(self._count[segment_id]), 0) if end >= 0 else 0
@@ -452,13 +449,10 @@ class SegmentStateStore:
         # Each adjacent row needs the alpha steps ending at `end`: its stream
         # must have reached `end` and its contiguous run must span back far
         # enough (a neighbour running ahead is fine while the ring holds on
-        # to the older slots).
-        if neighbour_rows is None:
-            latest = self._latest[lo : hi + 1]
-            count = self._count[lo : hi + 1]
-        else:
-            latest = self._latest[neighbour_rows]
-            count = self._count[neighbour_rows]
+        # to the older slots).  Padding rows constrain nothing.
+        neighbours = rows[rows < self.num_segments]
+        latest = self._latest[neighbours]
+        count = self._count[neighbours]
         if not ((latest >= end) & (count >= latest - end + alpha)).all():
             return IncompleteWindowError(
                 f"a neighbour of segment {segment_id} lags it "
@@ -487,7 +481,7 @@ class SegmentStateStore:
         if span is None:
             span = self._spans = self._row_spans()
         lo, hi = span
-        rows = self._readiness_rows[segments]  # (B, R) slots into lo / hi
+        rows = self._rows[segments]  # (B, R) slots into lo / hi
         ends = self._latest[segments]
         return (lo[rows].max(axis=1) <= ends) & (ends <= hi[rows].min(axis=1))
 
@@ -576,7 +570,7 @@ class SegmentStateStore:
         segments = np.arange(start, stop, dtype=np.int64)
         ready = self._ready_mask(segments)
         if avoid is not None and len(avoid):
-            ready &= ~np.isin(self._readiness_rows[segments], avoid).any(axis=1)
+            ready &= ~np.isin(self._rows[segments], avoid).any(axis=1)
         return segments[ready]
 
     def fill_windows(
@@ -620,20 +614,17 @@ class SegmentStateStore:
         """Ready segments' windows, assembled together into one read-only block.
 
         Mirrors :func:`repro.data.features.build_features` exactly: the
-        adjacent-speed rows span ``segment_id - m .. segment_id + m``,
-        followed by the event / temperature / precipitation / hour rows,
-        with the factor mask's zero-filling applied.
+        adjacent-speed rows are each segment's ``window_rows`` (padding
+        reads the zero row), followed by the event / temperature /
+        precipitation / hour rows, with the factor mask's zero-filling
+        applied.
         """
         cfg = self.features
         alpha, m = cfg.alpha, cfg.m
         ends = self._latest[segments]  # (B,)
         steps = ends[:, None] + self._window_offsets  # (B, alpha)
         idx = steps % self._capacity
-        if self._layout is None:
-            rows = segments[:, None] + self._row_offsets  # (B, 2m+1)
-        else:
-            rows = self._layout.rows_array[segments]  # (B, num_rows), -1 = padding
-            rows = np.where(rows >= 0, rows, self.num_segments)  # padding reads the zero row
+        rows = self._rows[segments]  # (B, num_roads)
         context = self._context.data.take(idx, axis=0)  # (B, alpha, 6)
 
         # One (B, flat_dim) allocation: each flat row is its image's rows

@@ -60,17 +60,6 @@ class Corridor:
     def target(self) -> RoadSegment:
         return self.segments[self.target_index]
 
-    def adjacent_indices(self, m: int) -> list[int]:
-        """Indices of [target-m, ..., target, ..., target+m] (Eq 5 order)."""
-        lo = self.target_index - m
-        hi = self.target_index + m
-        if lo < 0 or hi >= len(self.segments):
-            raise ValueError(
-                f"corridor has no {m} neighbours on both sides of the target "
-                f"(need indices {lo}..{hi}, have 0..{len(self.segments) - 1})"
-            )
-        return list(range(lo, hi + 1))
-
     @staticmethod
     def gyeongbu(num_segments: int = 9, rng: np.random.Generator | None = None) -> "Corridor":
         """Build a Gyeongbu-style corridor with mild heterogeneity.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import FactorMask, FeatureConfig, build_features, fit_scalers
+from repro.data import OFF_END, FactorMask, FeatureConfig, build_features, fit_scalers
 
 
 class TestFactorMask:
@@ -73,6 +73,16 @@ class TestFeatureConfig:
         assert not config.mask.adjacent
         assert config.alpha == 12
 
+    def test_window_rows_order(self):
+        rows = FeatureConfig(m=2).window_rows(9)
+        assert rows.shape == (9, 5)
+        assert rows[4].tolist() == [2, 3, 4, 5, 6]
+        assert rows[0].tolist() == [OFF_END, OFF_END, 0, 1, 2]
+        assert rows[8].tolist() == [6, 7, 8, OFF_END, OFF_END]
+
+    def test_window_rows_zero_m(self):
+        assert FeatureConfig(m=0).window_rows(9)[:, 0].tolist() == list(range(9))
+
 
 class TestBuildFeatures:
     def test_window_count(self, tiny_series):
@@ -109,7 +119,7 @@ class TestBuildFeatures:
     def test_adjacent_rows_follow_corridor_order(self, tiny_series):
         config = FeatureConfig()
         features = build_features(tiny_series, config)
-        indices = tiny_series.corridor.adjacent_indices(config.m)
+        indices = config.window_rows(tiny_series.num_segments)[tiny_series.corridor.target_index]
         i = 10
         for row, segment in enumerate(indices):
             kmh = features.scalers.speed.inverse_transform(features.images[i, row, :])
@@ -170,6 +180,10 @@ class TestBuildFeatures:
         config = tiny_dataset.config
         assert seqs.shape == (3, config.alpha, config.image_rows)
         np.testing.assert_allclose(seqs[0].T, tiny_dataset.features.images[0])
+
+    def test_off_end_target_rejected(self, tiny_series):
+        with pytest.raises(ValueError, match="no 2 neighbours on both sides of segment 1"):
+            build_features(tiny_series, FeatureConfig(), targets=[1])
 
     def test_series_too_short_raises(self, tiny_series):
         short = tiny_series.slice_steps(0, 10)

@@ -10,9 +10,11 @@ Three families of invariants:
   *outside* a target's k-hop set can never leak into its windows
   (perturbing them leaves the windows bitwise unchanged).
 * **Corridor reduction** — on a :func:`from_corridor` path graph the
-  layout row of an interior target is ``[s-k .. s+k]`` and the whole
-  training path (windows, split, rollouts, fitted weights) reproduces
-  the corridor pipeline bitwise, pinned down to ``model_fingerprint``.
+  layout's row table is the corridor's ``window_rows`` table wherever
+  the corridor window stays on the corridor, and the whole training
+  path (windows, split, rollouts, fitted weights) through the one
+  :class:`TrafficDataset` reproduces the corridor bitwise, pinned down
+  to ``model_fingerprint``.
 """
 
 from __future__ import annotations
@@ -24,17 +26,16 @@ import pytest
 
 from repro.core.model import APOTS
 from repro.core.zoo import model_fingerprint
-from repro.data import FeatureConfig, TrafficDataset
+from repro.data import OFF_END, FeatureConfig, TrafficDataset
 from repro.data.features import build_features
 from repro.data.graph_features import (
     GraphFeatureConfig,
     GraphTrafficDataset,
     GraphWindowLayout,
-    build_graph_features,
 )
 from repro.network import from_corridor, graph_window_layout, grid_city, ring_and_spokes
 from repro.network.waves import simulate_network
-from repro.traffic.types import SimulationConfig
+from repro.traffic.types import Corridor, SimulationConfig
 
 #: Randomized topologies for the property tests: (graph factory, k).
 TOPOLOGIES = [
@@ -120,14 +121,14 @@ class TestMaskCorrectness:
     def test_outside_speeds_cannot_leak(self, city, city_series, k):
         config = GraphFeatureConfig(layout=graph_window_layout(city, k))
         target = city.target_index
-        features = build_graph_features(city_series, config, [target])
+        features = build_features(city_series, config, targets=[target])
         hood = set(city.k_hop_neighbourhood(target, k))
         outside = [s for s in range(len(city)) if s not in hood]
         assert outside  # property is vacuous otherwise
         speeds = city_series.speeds.copy()
         speeds[outside] = 1e6  # absurd values: any leak is loud
         mutated = dataclasses.replace(city_series, speeds=speeds)
-        again = build_graph_features(mutated, config, [target], features.scalers)
+        again = build_features(mutated, config, features.scalers, [target])
         assert np.array_equal(again.images, features.images)
         assert np.array_equal(again.targets, features.targets)
         assert np.array_equal(again.targets_kmh, features.targets_kmh)
@@ -140,7 +141,7 @@ class TestMaskCorrectness:
             s for s in range(len(city)) if len(layout.valid_rows(s)) < layout.num_rows
         ]
         assert padded  # a 3x3 grid has corner segments with short hoods
-        features = build_graph_features(city_series, config, padded)
+        features = build_features(city_series, config, targets=padded)
         per = features.windows_per_target
         for i, s in enumerate(padded):
             rows = layout.rows_array[s]
@@ -154,14 +155,14 @@ class TestMaskCorrectness:
         k = 1
         config = GraphFeatureConfig(layout=graph_window_layout(city, k))
         target = city.target_index
-        features = build_graph_features(city_series, config, [target])
+        features = build_features(city_series, config, targets=[target])
         neighbour = next(
             t for t in city.k_hop_neighbourhood(target, k) if t != target
         )
         speeds = city_series.speeds.copy()
         speeds[neighbour] += 7.0
         mutated = dataclasses.replace(city_series, speeds=speeds)
-        again = build_graph_features(mutated, config, [target], features.scalers)
+        again = build_features(mutated, config, features.scalers, [target])
         assert not np.array_equal(again.images, features.images)
 
 
@@ -184,24 +185,35 @@ class TestCorridorReduction:
         k = layout.k
         for s in range(k, tiny_series.num_segments - k):
             assert layout.rows[s] == tuple(range(s - k, s + k + 1))
-        target = tiny_series.corridor.target_index
-        assert list(layout.rows[target]) == tiny_series.corridor.adjacent_indices(k)
+
+    @pytest.mark.parametrize("num_segments", [5, 9, 12, 68])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_row_tables_agree(self, num_segments, m):
+        # The corridor's table equals the from_corridor layout wherever
+        # that is a segment, and is OFF_END exactly where it is padding.
+        corridor = Corridor.gyeongbu(num_segments, rng=np.random.default_rng(0))
+        layout = graph_window_layout(from_corridor(corridor), m).rows_array
+        table = FeatureConfig(m=m).window_rows(num_segments)
+        assert table.shape == layout.shape
+        real = layout >= 0
+        assert np.array_equal(table[real], layout[real])
+        assert np.array_equal(table == OFF_END, layout == -1)
 
     def test_windows_bitwise_equal(self, tiny_series, tiny_dataset, graph_config):
-        target = tiny_series.corridor.target_index
-        corridor = build_features(tiny_series, FeatureConfig(), tiny_dataset.features.scalers)
-        graph = build_graph_features(
-            tiny_series, graph_config, [target], tiny_dataset.features.scalers
-        )
+        scalers = tiny_dataset.features.scalers
+        corridor = TrafficDataset(tiny_series, FeatureConfig(), scalers=scalers).features
+        graph = TrafficDataset(tiny_series, graph_config, scalers=scalers).features
         assert np.array_equal(graph.images, corridor.images)
         assert np.array_equal(graph.day_types, corridor.day_types)
         assert np.array_equal(graph.targets, corridor.targets)
         assert np.array_equal(graph.targets_kmh, corridor.targets_kmh)
         assert np.array_equal(graph.last_input_kmh, corridor.last_input_kmh)
         assert np.array_equal(graph.target_steps, corridor.target_steps)
+        assert np.array_equal(graph.segment_ids, corridor.segment_ids)
 
     def test_dataset_surface_bitwise_equal(self, tiny_series, tiny_dataset, graph_config):
-        graph_ds = GraphTrafficDataset(tiny_series, graph_config, seed=5)
+        # tiny_dataset is TrafficDataset(tiny_series, FeatureConfig(), seed=5).
+        graph_ds = TrafficDataset(tiny_series, graph_config, seed=5)
         for subset in ("train", "validation", "test"):
             assert np.array_equal(graph_ds.subset(subset), tiny_dataset.subset(subset))
         indices = tiny_dataset.subset("test")[:16]
@@ -220,7 +232,7 @@ class TestCorridorReduction:
                                          micro_preset):
         # The acceptance criterion: graph training on a from_corridor
         # layout is bitwise-identical to corridor training.
-        graph_ds = GraphTrafficDataset(tiny_series, graph_config, seed=5)
+        graph_ds = TrafficDataset(tiny_series, graph_config, seed=5)
         corridor_model = APOTS(
             predictor="F", adversarial=False, features=tiny_dataset.config,
             preset=micro_preset, seed=3,
@@ -236,16 +248,16 @@ class TestMultiTargetDataset:
     def test_blocks_tile_without_leakage(self, city, city_series):
         config = GraphFeatureConfig(layout=graph_window_layout(city, 1))
         targets = (0, 5, 11)
-        ds = GraphTrafficDataset(city_series, config, targets, seed=0)
+        ds = TrafficDataset(city_series, config, seed=0, targets=targets)
         block = ds.features.windows_per_target
         assert len(ds.features.segment_ids) == block * len(targets)
         # Every block carries the same time-positions for every subset:
         # a test time for one target is a test time for all of them.
         for subset in ("train", "validation", "test"):
             indices = ds.subset(subset)
-            assert np.array_equal(
-                np.unique(indices % block), np.unique(getattr(ds._base_split, subset))
-            )
+            first_block = indices[indices < block]
+            tiled = first_block + np.arange(len(targets))[:, None] * block
+            assert np.array_equal(indices, tiled.ravel())
         # Rollout groups never cross a block boundary.
         anchors = ds.rollout_anchors("train")
         if len(anchors):
@@ -254,18 +266,21 @@ class TestMultiTargetDataset:
     def test_duplicate_targets_rejected(self, city, city_series):
         config = GraphFeatureConfig(layout=graph_window_layout(city, 1))
         with pytest.raises(ValueError, match="unique"):
-            build_graph_features(city_series, config, [0, 0])
+            build_features(city_series, config, targets=[0, 0])
 
     def test_layout_series_mismatch_rejected(self, city_series):
         other = graph_window_layout(grid_city(4, 4, seed=0), 1)
         with pytest.raises(ValueError, match="segments"):
-            build_graph_features(city_series, GraphFeatureConfig(layout=other), [0])
+            build_features(city_series, GraphFeatureConfig(layout=other), targets=[0])
 
     def test_model_rejects_mismatched_graph_config(self, city, city_series, micro_preset):
         config = GraphFeatureConfig(layout=graph_window_layout(city, 1))
         other = GraphFeatureConfig(layout=graph_window_layout(city, 2))
-        ds = GraphTrafficDataset(city_series, config, seed=0)
+        ds = TrafficDataset(city_series, config, seed=0)
         model = APOTS(predictor="F", adversarial=False, features=other,
                       preset=micro_preset, seed=0)
         with pytest.raises(ValueError, match="feature geometry"):
             model.fit(ds)
+
+    def test_graph_dataset_name_is_the_one_class(self):
+        assert GraphTrafficDataset is TrafficDataset

@@ -83,6 +83,17 @@ class TestShardCountInvariance:
         assert two.predict_many(query) == reference
         assert four.predict_many(query) == reference
 
+    def test_reset_reaches_every_shard_that_reads_the_segment(self, warm_trio):
+        # Segment 4 opens shard 1 of two, and segment 3's window (1..5)
+        # reads it from shard 0: the reset must reach both replicas.
+        for fleet in warm_trio:
+            fleet.reset_segment(4)
+        query = [1, 2, 3, 5, 6, 7]
+        reference = warm_trio[0].predict_many(query)
+        assert reference[query.index(3)].source == "naive"
+        for fleet in warm_trio[1:]:
+            assert fleet.predict_many(query) == reference
+
 
 class TestFailureDegradation:
     def test_replica_crash_sheds_to_naive_with_event(

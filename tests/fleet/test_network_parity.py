@@ -15,7 +15,8 @@ import pytest
 
 from repro import APOTS
 from repro.core import save_model
-from repro.data.graph_features import GraphFeatureConfig, GraphTrafficDataset
+from repro.data import TrafficDataset
+from repro.data.graph_features import GraphFeatureConfig
 from repro.fleet import ForecastFleet
 from repro.network import (
     graph_window_layout,
@@ -125,7 +126,7 @@ class TestCityScaleParity:
 def graph_checkpoint(tmp_path_factory, city, city_series, micro_preset) -> str:
     """A zoo checkpoint whose features carry the city's k=2 graph layout."""
     config = GraphFeatureConfig(layout=graph_window_layout(city, 2))
-    dataset = GraphTrafficDataset(city_series, config, seed=0)
+    dataset = TrafficDataset(city_series, config, seed=0)
     model = APOTS(predictor="F", adversarial=False, features=config,
                   preset=micro_preset, seed=0)
     model.fit(dataset)

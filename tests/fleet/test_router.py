@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data import FeatureConfig
 from repro.fleet import ShardMap
 from repro.serving import UnknownSegmentError
 
@@ -36,22 +37,19 @@ class TestShardMap:
         a, b = ShardMap(23, 5), ShardMap(23, 5)
         assert [a.owned_range(s) for s in range(5)] == [b.owned_range(s) for s in range(5)]
 
-    def test_halo_range_widens_and_clips(self):
-        shard_map = ShardMap(9, 2)
-        assert shard_map.owned_range(0) == (0, 4)
-        assert shard_map.halo_range(0, 2) == (0, 6)
-        assert shard_map.halo_range(1, 2) == (2, 9)
-        assert shard_map.halo_range(0, 0) == (0, 4)
-
-    def test_shards_for_observation_covers_exactly_the_halos(self):
-        shard_map = ShardMap(9, 4)
-        m = 2
-        for segment in range(9):
-            shards = shard_map.shards_for_observation(segment, m)
-            assert shard_map.shard_of(segment) in shards
-            for shard in range(4):
-                lo, hi = shard_map.halo_range(shard, m)
-                assert (shard in shards) == (lo <= segment < hi)
+    def test_covering_shards_match_clipped_halo(self):
+        # On a corridor the covering shards of segment s are the owners
+        # of [s - m, s + m] clipped to the corridor: a contiguous range.
+        n, m = 68, 2
+        rows = FeatureConfig(m=m).window_rows(n)
+        for num_shards in (2, 3, 4):
+            shard_map = ShardMap(n, num_shards)
+            oracle = []
+            for s in range(n):
+                first = shard_map.shard_of(max(0, s - m))
+                last = shard_map.shard_of(min(n - 1, s + m))
+                oracle.append(tuple(range(first, last + 1)))
+            assert shard_map.covering_shards(rows) == oracle
 
     def test_single_shard_owns_everything(self):
         shard_map = ShardMap(9, 1)
@@ -68,9 +66,5 @@ class TestShardMap:
         shard_map = ShardMap(9, 2)
         with pytest.raises(UnknownSegmentError, match="outside corridor"):
             shard_map.shard_of(9)
-        with pytest.raises(UnknownSegmentError, match="outside corridor"):
-            shard_map.shards_for_observation(-1, 2)
         with pytest.raises(ValueError, match="shard 2"):
             shard_map.owned_range(2)
-        with pytest.raises(ValueError, match="non-negative"):
-            shard_map.halo_range(0, -1)

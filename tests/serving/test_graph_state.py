@@ -4,7 +4,7 @@ readiness semantics, and end-to-end service forecasts on a road graph.
 The corridor store excludes edge segments (they lack ±m neighbours); a
 graph layout has no edge condition — padding rows absorb short
 neighbourhoods — so *every* segment of the city must be model-servable,
-and its streamed window must equal :func:`build_graph_features` bitwise.
+and its streamed window must equal :func:`build_features` bitwise.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.model import APOTS
-from repro.data.features import fit_scalers
-from repro.data.graph_features import (
-    GraphFeatureConfig,
-    GraphTrafficDataset,
-    build_graph_features,
-)
+from repro.data import TrafficDataset
+from repro.data.features import build_features, fit_scalers
+from repro.data.graph_features import GraphFeatureConfig
 from repro.network import graph_window_layout, grid_city
 from repro.network.waves import simulate_network
 from repro.serving import ForecastService, IncompleteWindowError, SegmentStateStore
@@ -59,7 +56,7 @@ class TestGraphWindowParity:
         alpha = graph_config.alpha
         replay(store, city_series, range(alpha + 3))
         targets = list(range(city_series.num_segments))
-        offline = build_graph_features(city_series, graph_config, targets, scalers)
+        offline = build_features(city_series, graph_config, scalers, targets)
         per = offline.windows_per_target
         flat = offline.flat()
         for segment in targets:
@@ -110,7 +107,7 @@ class TestGraphReadiness:
 
 @pytest.fixture(scope="module")
 def graph_model(city_series, graph_config, micro_preset):
-    dataset = GraphTrafficDataset(city_series, graph_config, seed=0)
+    dataset = TrafficDataset(city_series, graph_config, seed=0)
     model = APOTS(predictor="F", adversarial=False, features=graph_config,
                   preset=micro_preset, seed=0)
     return model.fit(dataset)

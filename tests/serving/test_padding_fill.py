@@ -15,7 +15,8 @@ import pytest
 from repro import APOTS
 from repro.attacks.defense import GateConfig, PerturbationGate
 from repro.core import save_model
-from repro.data.graph_features import GraphFeatureConfig, GraphTrafficDataset
+from repro.data import TrafficDataset
+from repro.data.graph_features import GraphFeatureConfig
 from repro.network import graph_window_layout, grid_city
 from repro.network.waves import simulate_network
 from repro.serving import ForecastService
@@ -35,7 +36,7 @@ def city_series():
 def graph_model(city_series, micro_preset):
     config = GraphFeatureConfig(layout=graph_window_layout(grid_city(3, 3, seed=0), 2))
     model = APOTS(predictor="F", adversarial=False, features=config, preset=micro_preset, seed=0)
-    return model.fit(GraphTrafficDataset(city_series, config, seed=0))
+    return model.fit(TrafficDataset(city_series, config, seed=0))
 
 
 @pytest.fixture(params=["corridor", "graph"])

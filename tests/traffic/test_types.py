@@ -47,19 +47,6 @@ class TestCorridor:
         assert corridor.target_index == 4
         assert corridor.target is corridor.segments[4]
 
-    def test_adjacent_indices_order(self):
-        corridor = Corridor.gyeongbu(rng=np.random.default_rng(0))
-        assert corridor.adjacent_indices(2) == [2, 3, 4, 5, 6]
-
-    def test_adjacent_indices_zero_m(self):
-        corridor = Corridor.gyeongbu(rng=np.random.default_rng(0))
-        assert corridor.adjacent_indices(0) == [4]
-
-    def test_adjacent_indices_out_of_range(self):
-        corridor = Corridor.gyeongbu(num_segments=5, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="neighbours"):
-            corridor.adjacent_indices(3)
-
     def test_needs_segments(self):
         with pytest.raises(ValueError):
             Corridor(segments=(), target_index=0)

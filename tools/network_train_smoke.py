@@ -31,7 +31,7 @@ from repro.core.config import ScalePreset
 from repro.core.model import APOTS
 from repro.core.zoo import model_fingerprint
 from repro.data import FeatureConfig, TrafficDataset
-from repro.data.graph_features import GraphFeatureConfig, GraphTrafficDataset
+from repro.data.graph_features import GraphFeatureConfig
 from repro.data.split import SplitIndices
 from repro.network import (
     IncidentCascade,
@@ -67,7 +67,7 @@ def check_corridor_reduction_pin() -> None:
         layout=graph_window_layout(from_corridor(series.corridor), corridor_config.m)
     )
     corridor_ds = TrafficDataset(series, corridor_config, seed=5)
-    graph_ds = GraphTrafficDataset(series, graph_config, seed=5)
+    graph_ds = TrafficDataset(series, graph_config, seed=5)
 
     def fit(features, dataset) -> str:
         model = APOTS(
@@ -98,7 +98,7 @@ def check_graph_fit_and_stress() -> None:
     stressed = NetworkSimulator(graph, config, scenario=scenario).run()
 
     feature_config = GraphFeatureConfig(layout=graph_window_layout(graph, 2))
-    dataset = GraphTrafficDataset(baseline, feature_config, seed=0)
+    dataset = TrafficDataset(baseline, feature_config, seed=0)
     model = APOTS(
         predictor="F", adversarial=False, features=feature_config, preset=MICRO, seed=0
     ).fit(dataset)
@@ -112,7 +112,7 @@ def check_graph_fit_and_stress() -> None:
     )
     tables = {}
     for name, series in (("baseline", baseline), ("stress", stressed)):
-        eval_ds = GraphTrafficDataset(
+        eval_ds = TrafficDataset(
             series, feature_config, split=all_test, seed=0,
             scalers=dataset.features.scalers,
         )
