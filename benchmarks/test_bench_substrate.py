@@ -74,54 +74,34 @@ def test_predictor_inference(benchmark, features, kind):
 
 
 def test_adversarial_step(benchmark, features):
-    """One full P+D adversarial update at medium widths (compiled tapes)."""
+    """One full P+D adversarial update at medium widths."""
     from repro.data import TrafficDataset
 
     series = simulate(SimulationConfig(num_days=4, seed=1))
     dataset = TrafficDataset(series, features, seed=1)
     spec = table1_spec("F", 0.125)
 
-    def make_trainer(compile: bool) -> APOTSTrainer:
-        rng = np.random.default_rng(4)
-        predictor = build_predictor("F", features, spec=spec, rng=rng)
-        disc = Discriminator(features, spec=spec, rng=rng)
-        return APOTSTrainer(
-            predictor, disc, TrainSpec(adversarial_batch_size=32, compile=compile)
-        )
-
+    rng = np.random.default_rng(4)
+    predictor = build_predictor("F", features, spec=spec, rng=rng)
+    disc = Discriminator(features, spec=spec, rng=rng)
+    trainer = APOTSTrainer(predictor, disc, TrainSpec(adversarial_batch_size=32))
     anchors = dataset.rollout_anchors("train")[:32]
     batch = dataset.rollout_batch(anchors)
-    trainers = {key: make_trainer(key == "compiled") for key in ("eager", "compiled")}
 
-    def step_with(trainer: APOTSTrainer) -> None:
+    def step() -> None:
         trainer._discriminator_step(batch, features.alpha)
         trainer._predictor_step(batch, features.alpha)
 
-    # Warm the tapes past record+validate so the timed region measures
-    # the trusted-replay steady state (what a training loop runs in).
-    # Both trainers start bit-identical and the compiled replay matches
-    # eager bitwise, so their weights stay equal through the warmup and
-    # the comparison below times identical arithmetic.
-    for trainer in trainers.values():
-        for _ in range(4):
-            step_with(trainer)
-
-    # Machine speed drifts between bench runs, so also record a
-    # same-process eager reference: that ratio is comparable across
-    # machines even when the absolute timings are not.
-    ms_per_step = {}
-    for key, trainer in trainers.items():
-        start = time.perf_counter()
-        for _ in range(20):
-            step_with(trainer)
-        ms_per_step[key] = 1e3 * (time.perf_counter() - start) / 20
+    for _ in range(4):
+        step()
+    start = time.perf_counter()
+    for _ in range(20):
+        step()
     record_metric(
         "test_adversarial_step",
-        eager_ms_per_step=ms_per_step["eager"],
-        compiled_ms_per_step=ms_per_step["compiled"],
-        speedup_x=ms_per_step["eager"] / ms_per_step["compiled"],
+        eager_ms_per_step=1e3 * (time.perf_counter() - start) / 20,
     )
-    benchmark(lambda: step_with(trainers["compiled"]))
+    benchmark(step)
 
 
 def test_simulator_throughput(benchmark):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import nn
 
-__all__ = ["InputGradient", "input_gradient", "CompiledInputGradient"]
+__all__ = ["InputGradient", "input_gradient"]
 
 
 @dataclass(frozen=True)
@@ -80,75 +80,3 @@ def input_gradient(predictor, images: np.ndarray, day_types: np.ndarray,
         predictions=predictions.data,
         loss=float(objective.data),
     )
-
-
-class CompiledInputGradient:
-    """Drop-in :func:`input_gradient` with tape replay for hot loops.
-
-    Attack loops (PGD especially) call :func:`input_gradient` with the
-    same shapes dozens of times per batch; this wrapper compiles the
-    forward/backward through :class:`repro.nn.compile.CompiledFunction`
-    — one tape per (targeted?, shape) signature — while reproducing the
-    eager function bitwise (the compile layer validates every tape
-    against eager before trusting it).  Instances are stateful (they own
-    the tapes), so build one per predictor and reuse it across calls.
-    """
-
-    def __init__(self, predictor):
-        from ..nn.compile import CompiledFunction
-
-        self.predictor = predictor
-
-        def targeted_fn(images, day_types, targets):
-            flat = nn.ops.concat([images.reshape(images.shape[0], -1), day_types], axis=1)
-            predictions = predictor.forward(images, day_types, flat)
-            residual = predictions - targets
-            return (residual * residual).sum(), predictions
-
-        def untargeted_fn(images, day_types):
-            flat = nn.ops.concat([images.reshape(images.shape[0], -1), day_types], axis=1)
-            predictions = predictor.forward(images, day_types, flat)
-            return predictions.sum(), predictions
-
-        # input_grads_only: attacks read d objective / d image and never
-        # param.grad, so trusted replays skip every weight-grad GEMM.
-        self._targeted = CompiledFunction(
-            targeted_fn, grad_indices=(0,), name="input_gradient_targeted",
-            input_grads_only=True,
-        )
-        self._untargeted = CompiledFunction(
-            untargeted_fn, grad_indices=(0,), name="input_gradient",
-            input_grads_only=True,
-        )
-
-    def __call__(self, predictor, images: np.ndarray, day_types: np.ndarray,
-                 targets: np.ndarray | None = None) -> InputGradient:
-        """Same contract as :func:`input_gradient` (predictor must match)."""
-        if predictor is not self.predictor:
-            # A different model means different parameters than the tapes
-            # recorded; fall back to the general eager path.
-            return input_gradient(predictor, images, day_types, targets)
-        if not nn.is_grad_enabled():
-            raise RuntimeError(
-                "input_gradient() called inside no_grad(): Tensor silently drops "
-                "requires_grad while gradients are disabled, so the input leaf "
-                "could never record a tape and its gradients would be None. "
-                "Call input_gradient() outside the no_grad() context."
-            )
-        images = np.asarray(images, dtype=np.float64)
-        day_types = np.asarray(day_types, dtype=np.float64)
-        if targets is None:
-            run = self._untargeted(images, day_types)
-        else:
-            run = self._targeted(images, day_types, np.asarray(targets, dtype=np.float64))
-        run.backward()
-        objective, predictions = run.outputs
-        grad = run.input_grad(0)
-        assert grad is not None
-        return InputGradient(
-            grad_images=grad,
-            # Copy: replayed outputs alias the tape's buffers and would
-            # mutate under the caller on the next call.
-            predictions=np.array(predictions.data, copy=True),
-            loss=float(objective.data),
-        )

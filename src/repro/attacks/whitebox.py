@@ -18,35 +18,24 @@ import numpy as np
 
 from .base import Attack, AttackResult, speed_rows_kmh, with_speed_rows
 from .constraints import PlausibilityBox
-from .gradients import CompiledInputGradient, input_gradient
+from .gradients import input_gradient
 
 __all__ = ["FGSMAttack", "PGDAttack"]
 
 
 class FGSMAttack(Attack):
-    """Single-step fast gradient sign attack on the speed rows.
-
-    ``gradient_fn`` swaps the backward engine (same call contract as
-    :func:`repro.attacks.gradients.input_gradient`); ``compile=True`` is
-    shorthand for a per-attack :class:`CompiledInputGradient`, which
-    replays the forward/backward tape instead of rebuilding the graph
-    each call — bit-identical by construction (validated before trust).
-    """
+    """Single-step fast gradient sign attack on the speed rows."""
 
     name = "fgsm"
 
-    def __init__(self, predictor, scalers, constraint: PlausibilityBox,
-                 gradient_fn=None, compile: bool = False):
+    def __init__(self, predictor, scalers, constraint: PlausibilityBox):
         super().__init__(scalers, predictor.features.num_roads, constraint)
         self.predictor = predictor
-        if gradient_fn is None:
-            gradient_fn = CompiledInputGradient(predictor) if compile else input_gradient
-        self.gradient_fn = gradient_fn
 
     def perturb(self, images, day_types, targets, recorder=None) -> AttackResult:
         images = np.asarray(images, dtype=np.float64)
         reference = speed_rows_kmh(images, self.scalers, self.num_roads)
-        result = self.gradient_fn(self.predictor, images, day_types, targets)
+        result = input_gradient(self.predictor, images, day_types, targets)
         grad_speeds = result.grad_images[:, :self.num_roads, :]
         attacked = np.sign(grad_speeds)
         attacked *= self.constraint.epsilon_kmh
@@ -71,7 +60,7 @@ class PGDAttack(Attack):
 
     def __init__(self, predictor, scalers, constraint: PlausibilityBox, steps: int = 10,
                  step_kmh: float | None = None, random_start: bool = True,
-                 seed: int = 0, gradient_fn=None, compile: bool = False):
+                 seed: int = 0):
         super().__init__(scalers, predictor.features.num_roads, constraint)
         if steps < 1:
             raise ValueError("steps must be >= 1")
@@ -80,11 +69,6 @@ class PGDAttack(Attack):
         self.step_kmh = step_kmh if step_kmh is not None else 2.5 * constraint.epsilon_kmh / steps
         self.random_start = random_start
         self.seed = seed
-        if gradient_fn is None:
-            # See FGSMAttack: compile=True replays the per-step tape, the
-            # big win here since PGD calls the gradient `steps` times.
-            gradient_fn = CompiledInputGradient(predictor) if compile else input_gradient
-        self.gradient_fn = gradient_fn
 
     def perturb(self, images, day_types, targets, recorder=None) -> AttackResult:
         images = np.asarray(images, dtype=np.float64)
@@ -99,7 +83,7 @@ class PGDAttack(Attack):
         losses: list[float] = []
         for step in range(self.steps):
             adv_images = with_speed_rows(images, attacked, self.scalers, self.num_roads)
-            result = self.gradient_fn(self.predictor, adv_images, day_types, targets)
+            result = input_gradient(self.predictor, adv_images, day_types, targets)
             grad_speeds = result.grad_images[:, :self.num_roads, :]
             attacked = attacked + self.step_kmh * np.sign(grad_speeds)
             attacked = self.constraint.project(attacked, reference)

@@ -90,105 +90,31 @@ class APOTSTrainer:
         self.d_optimizer = nn.Adam(discriminator.parameters(), lr=self.spec.learning_rate)
         self.bce = nn.BCEWithLogitsLoss()
         self.mse = nn.MSELoss()
-        self._cf_roll = None
-        self._cf_dstep = None
-        self._cf_ploss = None
         # One rollout per (batch, predictor version): the D steps and the
         # P step of a batch all see the same P parameters, so Ŝ is rolled
         # once, with its graph, and shared instead of recomputed per
         # sub-step.  Every P step drops it, so no graph outlives its batch.
         self._roll_cache: tuple | None = None
         self._p_version = 0
-        if self.spec.compile:
-            self._build_compiled()
-
-    def _build_compiled(self) -> None:
-        """Build the tape-replay functions for the hot sub-steps.
-
-        Three :class:`repro.nn.compile.CompiledFunction` pieces cover a
-        training step, cut at the rollout predictions so the expensive
-        P rollout runs exactly once per batch:
-
-        * ``rollout``: group windows -> flat predictions (B * alpha,);
-        * ``d_step``: (fake view, real view[, condition]) -> D loss and
-          both logit vectors;
-        * ``p_loss``: (sequences[, condition]) -> (total, mse, adv) with
-          the sequences as a gradient *input*; its input gradient seeds
-          ``rollout``'s backward, which is bitwise the same chain rule
-          the eager single-graph backward applies.
-
-        Every piece self-validates bitwise against eager before being
-        trusted (see :mod:`repro.nn.compile`), so a construct replay
-        cannot reproduce only costs the speedup, never correctness.
-        """
-        from ..nn.compile import CompiledFunction
-
-        conditional = self.discriminator.conditional
-
-        def roll_fn(images, day_types, flat):
-            return self.predictor.forward(images, day_types, flat)
-
-        self._cf_roll = CompiledFunction(roll_fn, name="apots_rollout")
-
-        def dstep_body(fake, real, condition):
-            real_logits = self.discriminator(real, condition)
-            fake_logits = self.discriminator(fake, condition)
-            n = fake.shape[0]
-            loss = self.bce(real_logits, np.ones(n)) + self.bce(fake_logits, np.zeros(n))
-            return loss, real_logits, fake_logits
-
-        def ploss_body(sequences, targets, condition):
-            alpha = sequences.shape[1]
-            predictions = sequences.reshape(-1)
-            mse_loss = self.mse(predictions, targets)
-            length = self.discriminator.sequence_length
-            fake_logits = self.discriminator(sequences[:, alpha - length :], condition)
-            if self.spec.saturating_adv_loss:
-                adv_loss = (1.0 - fake_logits.sigmoid().clip(1e-7, 1.0 - 1e-7)).log().mean()
-            else:
-                adv_loss = self.bce(fake_logits, np.ones(sequences.shape[0]))
-            w_mse = self.spec.mse_weight if self.spec.mse_weight is not None else float(alpha)
-            total = mse_loss * w_mse + adv_loss * self.spec.adv_weight
-            return total, mse_loss, adv_loss
-
-        if conditional:
-            dstep_fn = dstep_body
-            ploss_fn = ploss_body
-        else:
-
-            def dstep_fn(fake, real):
-                return dstep_body(fake, real, None)
-
-            def ploss_fn(sequences, targets):
-                return ploss_body(sequences, targets, None)
-
-        self._cf_dstep = CompiledFunction(dstep_fn, name="apots_d_step")
-        self._cf_ploss = CompiledFunction(ploss_fn, grad_indices=(0,), name="apots_p_loss")
 
     def _batch_rollout(self, batch: RolloutBatch):
         """The batch's rollout over P, computed once per P version.
 
-        Eager, this is the graph-carrying (B * alpha,) prediction Tensor;
-        compiled, the rollout tape's run.  D steps read its values
-        detached, the P step backpropagates through it.
+        The graph-carrying (B * alpha,) prediction Tensor: D steps read
+        its values detached, the P step backpropagates through it.
         """
         cached = self._roll_cache
         if cached is not None and cached[0] is batch and cached[1] == self._p_version:
             return cached[2]
-        if self._cf_roll is not None:
-            roll = self._cf_roll(batch.group_images, batch.group_day_types, batch.group_flat)
-        else:
-            roll = self.predictor.predict_arrays(
-                batch.group_images, batch.group_day_types, batch.group_flat
-            )
+        roll = self.predictor.predict_arrays(
+            batch.group_images, batch.group_day_types, batch.group_flat
+        )
         self._roll_cache = (batch, self._p_version, roll)
         return roll
 
     def _rolled_sequences(self, batch: RolloutBatch, alpha: int) -> np.ndarray:
         """Values of the shared rollout as (B, alpha) sequences."""
-        roll = self._batch_rollout(batch)
-        predictions = roll.outputs[0] if self._cf_roll is not None else roll
-        return predictions.data.reshape(batch.num_anchors, alpha)
+        return self._batch_rollout(batch).data.reshape(batch.num_anchors, alpha)
 
     def _p_updated(self) -> None:
         """Retire the rollout after a P update: its values are stale now."""
@@ -224,23 +150,15 @@ class APOTSTrainer:
         """One D update; returns (loss, real prob, fake prob, grad norm)."""
         fake = self._sequence_view(self._rolled_sequences(batch, alpha))  # detached
         real = self._sequence_view(batch.real_sequences(alpha))
-        conditional = self.discriminator.conditional
-        if self._cf_dstep is not None:
-            args = [fake, real, batch.condition] if conditional else [fake, real]
-            run = self._cf_dstep(*args)
-            loss, real_logits, fake_logits = run.outputs
-            backward = run.backward
-        else:
-            condition = nn.Tensor(batch.condition) if conditional else None
-            real_logits = self.discriminator(nn.Tensor(real), condition)
-            fake_logits = self.discriminator(nn.Tensor(fake), condition)
-            ones = np.ones(batch.num_anchors)
-            zeros = np.zeros(batch.num_anchors)
-            loss = self.bce(real_logits, ones) + self.bce(fake_logits, zeros)
-            backward = loss.backward
+        condition = nn.Tensor(batch.condition) if self.discriminator.conditional else None
+        real_logits = self.discriminator(nn.Tensor(real), condition)
+        fake_logits = self.discriminator(nn.Tensor(fake), condition)
+        ones = np.ones(batch.num_anchors)
+        zeros = np.zeros(batch.num_anchors)
+        loss = self.bce(real_logits, ones) + self.bce(fake_logits, zeros)
 
         self.d_optimizer.zero_grad()
-        backward()
+        loss.backward()
         grad_norm = self.d_optimizer.clip_grad_norm(self.spec.grad_clip)
         self.d_optimizer.step()
 
@@ -249,41 +167,10 @@ class APOTSTrainer:
             fake_prob = float(fake_logits.sigmoid().data.mean())
         return loss.item(), real_prob, fake_prob, grad_norm
 
-    def _predictor_step_compiled(
-        self, batch: RolloutBatch, alpha: int
-    ) -> tuple[float, float, float, float, float]:
-        """Compiled P update: one rollout, loss replay, seeded BPTT.
-
-        The chain rule is split at the predictions: the p-loss piece
-        produces d(total)/d(sequences) as an input gradient, which then
-        seeds the rollout tape's backward into P's parameters — the same
-        contraction the eager single-graph backward performs.
-        """
-        roll = self._batch_rollout(batch)
-        sequences = self._rolled_sequences(batch, alpha)
-        args = [sequences, batch.group_targets]
-        if self.discriminator.conditional:
-            args.append(batch.condition)
-        run = self._cf_ploss(*args)
-        total, mse_loss, adv_loss = run.outputs
-        results = (total.item(), mse_loss.item(), adv_loss.item())
-        fake_std = float(sequences.std())
-
-        self.p_optimizer.zero_grad()
-        run.backward()
-        roll.backward(run.input_grad(0).reshape(-1))
-        grad_norm = self.p_optimizer.clip_grad_norm(self.spec.grad_clip)
-        self.p_optimizer.step()
-        self.discriminator.zero_grad()
-        self._p_updated()
-        return results[0], results[1], results[2], grad_norm, fake_std
-
     def _predictor_step(
         self, batch: RolloutBatch, alpha: int
     ) -> tuple[float, float, float, float, float]:
         """One P update; returns (total, mse, adv, grad norm, fake std)."""
-        if self._cf_ploss is not None:
-            return self._predictor_step_compiled(batch, alpha)
         predictions = self._batch_rollout(batch)
         sequences = predictions.reshape(batch.num_anchors, alpha)
         mse_loss = self.mse(predictions, batch.group_targets)

@@ -115,7 +115,6 @@ class AdversarialAugmenter:
         pgd_steps: int = 3,
         max_step_kmh: float | None = 10.0,
         seed: int = 0,
-        compile: bool = False,
     ):
         if scalers is None:
             raise ValueError(
@@ -146,23 +145,6 @@ class AdversarialAugmenter:
         self.pgd_steps = int(pgd_steps)
         self.max_step_kmh = max_step_kmh
         self.seed = int(seed)
-        # Compiled gradient/forward engines are held once here (attacks
-        # are rebuilt per batch for their constraint, so per-attack tapes
-        # would never get past their validation calls).
-        self._gradient_fn = None
-        self._cf_predict = None
-        if compile:
-            from ..attacks.gradients import CompiledInputGradient
-            from ..nn.compile import CompiledFunction
-
-            self._gradient_fn = CompiledInputGradient(predictor)
-
-            def predict_fn(images, day_types, flat):
-                return predictor.forward(images, day_types, flat)
-
-            self._cf_predict = CompiledFunction(
-                predict_fn, name="augment_predict", forward_only=True
-            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -179,7 +161,6 @@ class AdversarialAugmenter:
             pgd_steps=spec.adv_pgd_steps,
             max_step_kmh=spec.adv_max_step_kmh,
             seed=spec.seed,
-            compile=spec.compile,
         )
 
     # ------------------------------------------------------------------
@@ -198,25 +179,14 @@ class AdversarialAugmenter:
 
     def _build_attack(self, constraint: PlausibilityBox, attack_seed: int):
         if self.attack == "fgsm":
-            return FGSMAttack(
-                self.predictor, self.scalers, constraint,
-                gradient_fn=self._gradient_fn,
-            )
+            return FGSMAttack(self.predictor, self.scalers, constraint)
         return PGDAttack(
-            self.predictor, self.scalers, constraint,
-            steps=self.pgd_steps, seed=attack_seed,
-            gradient_fn=self._gradient_fn,
+            self.predictor, self.scalers, constraint, steps=self.pgd_steps, seed=attack_seed
         )
 
     def _mse(self, images: np.ndarray, day_types: np.ndarray, targets: np.ndarray) -> float:
         """Grad-free mean squared scaled error on a sub-batch."""
         flat = flatten_windows(images, day_types)
-        # The compiled forward covers one predict() chunk; larger batches
-        # would change the BLAS call pattern, so they stay on the eager
-        # chunked path.
-        if self._cf_predict is not None and len(flat) <= 1024:
-            prediction = self._cf_predict(images, day_types, flat).outputs[0].data
-            return float(np.mean((prediction - targets) ** 2))
         prediction = self.predictor.predict(images, day_types, flat)
         return float(np.mean((prediction - targets) ** 2))
 

@@ -110,7 +110,6 @@ class TrainSpec:
     adv_attack: str = "fgsm"  # "fgsm" | "pgd"
     adv_pgd_steps: int = 3
     adv_max_step_kmh: float | None = 10.0  # plausibility per-tick rate bound
-    compile: bool = False  # tape-replay the training hot path (repro.nn.compile)
     seed: int = 0
 
     def __post_init__(self):

@@ -55,15 +55,6 @@ class SupervisedTrainer:
         self.spec = spec if spec is not None else TrainSpec()
         self.optimizer = nn.Adam(predictor.parameters(), lr=self.spec.learning_rate)
         self.loss_fn = nn.MSELoss()
-        self._compiled_step = None
-        if self.spec.compile:
-            from ..nn.compile import CompiledFunction
-
-            def step_fn(images, day_types, flat, targets):
-                prediction = self.predictor.forward(images, day_types, flat)
-                return self.loss_fn(prediction, targets)
-
-            self._compiled_step = CompiledFunction(step_fn, name="supervised_step")
 
     def _make_augmenter(self, dataset: TrafficDataset):
         """The input-space adversarial augmenter, or None when disabled.
@@ -86,13 +77,6 @@ class SupervisedTrainer:
         gradient is computed (see :class:`repro.core.DataParallelTrainer`)
         without touching the epoch loop, early stopping or telemetry.
         """
-        if self._compiled_step is not None:
-            run = self._compiled_step(batch.images, batch.day_types, batch.flat, batch.targets)
-            self.optimizer.zero_grad()
-            run.backward()
-            grad_norm = self.optimizer.clip_grad_norm(self.spec.grad_clip)
-            self.optimizer.step()
-            return run.outputs[0].item(), grad_norm
         prediction = self.predictor.predict_arrays(batch.images, batch.day_types, batch.flat)
         loss = self.loss_fn(prediction, batch.targets)
         self.optimizer.zero_grad()

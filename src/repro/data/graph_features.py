@@ -62,7 +62,6 @@ class GraphWindowLayout:
     num_rows: int
     rows: tuple[tuple[int, ...], ...]
     _rows_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _row_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_segments < 1:
@@ -83,17 +82,11 @@ class GraphWindowLayout:
                     raise ValueError(f"rows[{s}] references unknown segment {t}")
         rows_array = np.array(self.rows, dtype=np.int64)
         object.__setattr__(self, "_rows_array", rows_array)
-        object.__setattr__(self, "_row_mask", rows_array >= 0)
 
     @property
     def rows_array(self) -> np.ndarray:
         """(num_segments, num_rows) int64 row->segment map, ``PADDING`` = padding."""
         return self._rows_array
-
-    @property
-    def row_mask(self) -> np.ndarray:
-        """(num_segments, num_rows) bool mask, True where a real segment."""
-        return self._row_mask
 
     def valid_rows(self, segment_id: int) -> tuple[int, ...]:
         """The real (non-padding) segment ids in ``segment_id``'s image."""

@@ -59,7 +59,6 @@ class RetrainSpec:
     min_windows: int = 48  # refuse to retrain on less history than this
     min_holdout: int = 8  # shadow eval needs at least this many windows
     workers: int = 1  # >1 routes through DataParallelTrainer
-    compile: bool = False  # tape-replay the fine-tune hot path
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -163,7 +162,6 @@ def retrain_challenger(
             epochs=spec.epochs,
             batch_size=spec.batch_size,
             max_steps_per_epoch=spec.max_steps_per_epoch,
-            compile=spec.compile,
             seed=seed,
         )
         if spec.workers > 1:

@@ -19,8 +19,8 @@ nodes.  They may be plain arrays or non-grad Tensors; passing a
 ``requires_grad`` Tensor raises, because this primitive returns no
 gradient for them — accepting one would silently truncate BPTT at the
 window boundary when chaining windows through a carried hidden state.
-Use the unfused ``LSTM(fused=False)`` path when the initial state must
-be differentiable.
+A differentiable carried state needs the step-by-step
+:class:`~repro.nn.layers.recurrent.LSTMCell` loop instead.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _as_state_array(state: "np.ndarray | Tensor | None", batch: int, hidden: int
                 "the fused LSTM backward returns gradients only for "
                 "(x, weight_ih, weight_hh, bias), so a differentiable initial "
                 "state would be silently truncated out of BPTT. Pass plain "
-                "values (array or non-grad Tensor), or use LSTM(fused=False) "
+                "values (array or non-grad Tensor), or step an LSTMCell "
                 "to keep a gradient path through the carried state."
             )
         state = state.data

@@ -1,10 +1,10 @@
 """Recurrent layers: LSTMCell and multi-layer LSTM.
 
 The LSTM follows Hochreiter & Schmidhuber (1997) with the standard
-forget/input/cell/output gate parameterisation.  Gates are computed in a
-single fused affine map per step for speed; the sequence loop unrolls the
-autograd graph over time (truncated BPTT is unnecessary at the paper's
-sequence length of alpha = 12).
+forget/input/cell/output gate parameterisation.  :class:`LSTMCell` is one
+step as composable tensor ops; :class:`LSTM` runs each layer over the
+whole sequence as one fused node with a hand-written BPTT (truncated
+BPTT is unnecessary at the paper's sequence length of alpha = 12).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .. import init, ops
+from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
@@ -73,15 +73,13 @@ class LSTM(Module):
     Returns the full top-layer output sequence and the final (h, c) of
     every layer, mirroring the usual framework contract.
 
-    Two execution paths share the same parameters:
-
-    * ``fused=True`` (default) runs each layer through the single-node
-      :func:`repro.nn.fused_rnn.lstm_layer_forward` — far fewer Python
-      closures, same math.  The returned per-layer state carries values
-      but no gradient path (slice ``outputs[:, -1, :]`` when the final
-      hidden state must be differentiable).
-    * ``fused=False`` unrolls :class:`LSTMCell` step by step, keeping a
-      full gradient path through the returned state.
+    Each layer runs through the single-node
+    :func:`repro.nn.fused_rnn.lstm_layer_forward` with the weights of its
+    :class:`LSTMCell`.  The returned per-layer state carries values but
+    no gradient path (slice ``outputs[:, -1, :]`` when the final hidden
+    state must be differentiable), and an initial state must be values:
+    a ``requires_grad`` state raises instead of being silently cut out
+    of BPTT.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class LSTM(Module):
         input_size: int,
         hidden_sizes: int | list[int],
         num_layers: int | None = None,
-        fused: bool = True,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -100,7 +97,6 @@ class LSTM(Module):
             raise ValueError("len(hidden_sizes) must equal num_layers")
         self.input_size = input_size
         self.hidden_sizes = list(hidden_sizes)
-        self.fused = fused
         sizes = [input_size] + self.hidden_sizes
         from .container import ModuleList
 
@@ -118,7 +114,7 @@ class LSTM(Module):
         x:
             Input of shape (batch, time, input_size).
         state:
-            Optional initial per-layer (h, c); zeros if omitted.
+            Optional initial per-layer (h, c) values; zeros if omitted.
 
         Returns
         -------
@@ -127,43 +123,14 @@ class LSTM(Module):
         state:
             Final (h, c) per layer.
         """
-        if x.ndim != 3:
-            raise ValueError(f"LSTM expects (batch, time, features), got {x.shape}")
-        batch, steps, _ = x.shape
-        if state is None:
-            state = [cell.initial_state(batch) for cell in self.cells]
-        else:
-            state = list(state)
-
-        if self.fused:
-            return self._forward_fused(x, state)
-
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            layer_input = x[:, t, :]
-            for layer, cell in enumerate(self.cells):
-                h, c = cell(layer_input, state[layer])
-                state[layer] = (h, c)
-                layer_input = h
-            outputs.append(layer_input)
-        return ops.stack(outputs, axis=1), state
-
-    def _forward_fused(
-        self, x: Tensor, state: list[tuple[Tensor, Tensor]]
-    ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-        """Layer-by-layer fused pass (see class docstring for semantics).
-
-        Initial state is passed through as Tensors so the fused primitive
-        can enforce its value-only contract: a ``requires_grad`` state
-        raises instead of being silently cut out of BPTT (use
-        ``fused=False`` for a differentiable carried state).
-        """
         from ..fused_rnn import lstm_layer_forward
 
+        if x.ndim != 3:
+            raise ValueError(f"LSTM expects (batch, time, features), got {x.shape}")
         layer_input = x
         new_state: list[tuple[Tensor, Tensor]] = []
         for layer, cell in enumerate(self.cells):
-            h0, c0 = state[layer]
+            h0, c0 = state[layer] if state is not None else (None, None)
             layer_input, h_final, c_final = lstm_layer_forward(
                 layer_input, cell.weight_ih, cell.weight_hh, cell.bias, h0, c0
             )

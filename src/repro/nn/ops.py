@@ -11,7 +11,7 @@ formulation is orders of magnitude faster in numpy.
 Forward computations with derived state (the convolution patch matrix)
 are factored into a ``_*_forward`` helper shared with
 :mod:`repro.nn.compile`, so a compiled replay recomputes bit-identical
-values and refreshes the arrays the backward closures captured.
+values into the recorded buffers.
 """
 
 from __future__ import annotations
@@ -204,5 +204,5 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     def backward(grad):
         return grad * mask, grad * ~mask
 
-    return Tensor._make(np.maximum(a.data, b.data), (a, b), backward, "maximum", {"mask": mask})
+    return Tensor._make(np.maximum(a.data, b.data), (a, b), backward, "maximum")
 

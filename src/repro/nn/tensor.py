@@ -191,8 +191,8 @@ class Tensor:
 
         ``meta`` carries the op's replay state for :mod:`repro.nn.compile`:
         static arguments (axes, bounds) plus any *derived* arrays the
-        backward closure captured (masks, scales) so a replay can refresh
-        them in place.  It is ignored on the eager path.
+        forward computed its value from (masks, scales), which a replay
+        reuses as scratch.  It is ignored on the eager path.
 
         Every op must produce float64 — the one dtype the substrate
         allows through the graph (leaf construction promotes, so a
@@ -473,7 +473,7 @@ class Tensor:
         def backward(grad):
             return (grad * sign,)
 
-        return Tensor._make(np.abs(self.data), (self,), backward, "abs", {"sign": sign})
+        return Tensor._make(np.abs(self.data), (self,), backward, "abs")
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is passed through inside the interval."""
@@ -487,7 +487,7 @@ class Tensor:
             (self,),
             backward,
             "clip",
-            {"mask": mask, "low": low, "high": high},
+            {"low": low, "high": high},
         )
 
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ route advisories scored against ground truth.
 
 from .advisory import AdvisoryOutcome, Detour, evaluate_advisories
 from .fields import predicted_speed_field
-from .paths import dijkstra, shortest_path
+from .paths import dijkstra
 from .travel_time import (
     corridor_travel_times,
     segment_times_minutes,
@@ -23,7 +23,6 @@ __all__ = [
     "corridor_travel_times",
     "dijkstra",
     "segment_times_minutes",
-    "shortest_path",
     "traverse_path_minutes",
     "traverse_time_minutes",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Mapping, Sequence
 
-__all__ = ["dijkstra", "shortest_path"]
+__all__ = ["dijkstra"]
 
 #: adjacency type: node -> sequence of (neighbour, edge weight) pairs.
 Adjacency = Mapping[int, Sequence[tuple[int, float]]]
@@ -55,21 +55,3 @@ def dijkstra(
                 parent[neighbour] = node
                 heapq.heappush(heap, (candidate, neighbour))
     return distance, parent
-
-
-def shortest_path(adjacency: Adjacency, source: int, target: int) -> list[int]:
-    """The node sequence of the shortest ``source``→``target`` path.
-
-    Returns ``[source, ..., target]`` (``[source]`` when they coincide);
-    raises :class:`ValueError` when the target is unreachable.
-    """
-    if source == target:
-        return [source]
-    distance, parent = dijkstra(adjacency, source)
-    if target not in distance:
-        raise ValueError(f"node {target} unreachable from {source}")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path

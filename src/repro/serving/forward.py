@@ -2,7 +2,7 @@
 
 Every forward the :class:`~repro.serving.batcher.MicroBatcher` runs has
 the same shape — it always pads to ``max_batch_size`` rows — so one
-``forward_only`` :class:`repro.nn.compile.CompiledFunction` per served
+:class:`repro.nn.compile.CompiledFunction` per served
 predictor covers all of them.  Its first call records a tape, the next
 two replay it beside an eager forward and compare the outputs bitwise,
 and from then on each forward replays the tape's kernels into its own
@@ -42,9 +42,7 @@ class ServedForward:
 
     def load(self, predictor) -> None:
         """Serve ``predictor`` from now on, dropping the previous predictor's tape."""
-        self._compiled = CompiledFunction(
-            predictor.forward, name="serve_forward", forward_only=True, max_tapes=1
-        )
+        self._compiled = CompiledFunction(predictor.forward, name="serve_forward")
         self._rejections = 0
         self._last_mode: str | None = None
 

@@ -43,7 +43,6 @@ class TestFingerprintPins:
             (dict(discriminator_steps=0), "18da4b5402c27e154f3f2823"),
             (dict(discriminator_steps=1), "d10674f001f4a7f11e94b8af"),
             (dict(discriminator_steps=2), "9e9838937e43e1132623e85e"),
-            (dict(discriminator_steps=2, compile=True), "9e9838937e43e1132623e85e"),
             # The augmenter swaps the batch object before the D steps.
             (dict(discriminator_steps=1, robust_fraction=0.5), "0aa7b9651baf550ca7e3aaa2"),
             (dict(discriminator_steps=2, robust_fraction=0.5), "a01ae2b154bbb09c6d956a86"),

@@ -84,8 +84,9 @@ class TestLayoutProperties:
 
     def test_rows_array_and_mask_agree(self):
         layout = graph_window_layout(grid_city(3, 3, seed=0), 2)
-        assert np.array_equal(layout.row_mask, layout.rows_array >= 0)
         assert layout.rows_array.shape == (layout.num_segments, layout.num_rows)
+        for s, row in enumerate(layout.rows_array):
+            assert tuple(row[row >= 0]) == layout.valid_rows(s)
 
     def test_validation_rejects_malformed_neighbourhoods(self):
         with pytest.raises(ValueError, match="include itself"):

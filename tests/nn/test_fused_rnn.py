@@ -1,4 +1,4 @@
-"""Tests for the fused LSTM primitive: equivalence with the cell path."""
+"""Tests for the fused LSTM primitive: equivalence with the unrolled cell loop."""
 
 import numpy as np
 import pytest
@@ -7,42 +7,55 @@ from repro import nn
 from repro.nn.fused_rnn import lstm_layer_forward
 
 
-def make_pair(input_size=5, hidden=(7, 6), seed=3):
-    """Two LSTMs with identical weights, one fused and one unrolled."""
-    fused = nn.LSTM(input_size, list(hidden), fused=True, rng=np.random.default_rng(seed))
-    slow = nn.LSTM(input_size, list(hidden), fused=False, rng=np.random.default_rng(seed))
-    return fused, slow
+def unrolled(lstm, x, state=None):
+    """The step-by-step LSTMCell loop over ``lstm``'s own cells: the oracle."""
+    batch, steps, _ = x.shape
+    if state is None:
+        state = [cell.initial_state(batch) for cell in lstm.cells]
+    state = list(state)
+    outputs = []
+    for t in range(steps):
+        layer_input = x[:, t, :]
+        for layer, cell in enumerate(lstm.cells):
+            state[layer] = cell(layer_input, state[layer])
+            layer_input = state[layer][0]
+        outputs.append(layer_input)
+    return nn.ops.stack(outputs, axis=1), state
+
+
+def make_lstm(input_size=5, hidden=(7, 6), seed=3):
+    return nn.LSTM(input_size, list(hidden), rng=np.random.default_rng(seed))
 
 
 class TestEquivalence:
     def test_forward_matches_cell_path(self):
-        fused, slow = make_pair()
+        lstm = make_lstm()
         x = np.random.default_rng(0).normal(size=(4, 9, 5))
-        out_fused, state_fused = fused(nn.Tensor(x))
-        out_slow, state_slow = slow(nn.Tensor(x))
+        out_fused, state_fused = lstm(nn.Tensor(x))
+        out_slow, state_slow = unrolled(lstm, nn.Tensor(x))
         np.testing.assert_allclose(out_fused.data, out_slow.data, atol=1e-12)
         for (hf, cf), (hs, cs) in zip(state_fused, state_slow):
             np.testing.assert_allclose(hf.data, hs.data, atol=1e-12)
             np.testing.assert_allclose(cf.data, cs.data, atol=1e-12)
 
     def test_gradients_match_cell_path(self):
-        fused, slow = make_pair()
+        lstm = make_lstm()
         rng = np.random.default_rng(1)
         data = rng.normal(size=(3, 6, 5))
         grad_seed = rng.normal(size=(3, 6, 6))
         x_fused = nn.Tensor(data.copy(), requires_grad=True)
         x_slow = nn.Tensor(data.copy(), requires_grad=True)
-        (fused(x_fused)[0] * nn.Tensor(grad_seed)).sum().backward()
-        (slow(x_slow)[0] * nn.Tensor(grad_seed)).sum().backward()
+        (lstm(x_fused)[0] * nn.Tensor(grad_seed)).sum().backward()
+        fused_grads = {name: p.grad.copy() for name, p in lstm.named_parameters()}
+        lstm.zero_grad()
+        (unrolled(lstm, x_slow)[0] * nn.Tensor(grad_seed)).sum().backward()
         np.testing.assert_allclose(x_fused.grad, x_slow.grad, atol=1e-10)
-        for (name, p_fused), (_, p_slow) in zip(
-            fused.named_parameters(), slow.named_parameters()
-        ):
-            np.testing.assert_allclose(p_fused.grad, p_slow.grad, atol=1e-10, err_msg=name)
+        for name, p in lstm.named_parameters():
+            np.testing.assert_allclose(fused_grads[name], p.grad, atol=1e-10, err_msg=name)
 
     def test_gradcheck_against_finite_differences(self):
         rng = np.random.default_rng(2)
-        lstm = nn.LSTM(2, [2], fused=True, rng=rng)
+        lstm = nn.LSTM(2, [2], rng=rng)
         x = nn.Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
 
         def forward():
@@ -52,13 +65,13 @@ class TestEquivalence:
         nn.check_gradients(forward, [x] + lstm.parameters(), atol=1e-3, rtol=1e-3)
 
     def test_initial_state_respected(self):
-        fused, slow = make_pair(hidden=(4,))
+        lstm = make_lstm(hidden=(4,))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 5, 5))
         h0 = nn.Tensor(rng.normal(size=(2, 4)))
         c0 = nn.Tensor(rng.normal(size=(2, 4)))
-        out_fused, _ = fused(nn.Tensor(x), [(h0, c0)])
-        out_slow, _ = slow(nn.Tensor(x), [(h0, c0)])
+        out_fused, _ = lstm(nn.Tensor(x), [(h0, c0)])
+        out_slow, _ = unrolled(lstm, nn.Tensor(x), [(h0, c0)])
         np.testing.assert_allclose(out_fused.data, out_slow.data, atol=1e-12)
 
 

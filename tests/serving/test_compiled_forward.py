@@ -30,10 +30,23 @@ from tests.serving.conftest import replay
 WARM_FORWARDS = 3
 
 
+def _fit(kind, dataset, preset):
+    return APOTS(predictor=kind, adversarial=False, preset=preset, seed=0).fit(dataset)
+
+
+@pytest.fixture(scope="module")
+def cnn_model(tiny_dataset, micro_preset):
+    return _fit("C", tiny_dataset, micro_preset)
+
+
+@pytest.fixture(scope="module")
+def lstm_model(tiny_dataset, micro_preset):
+    return _fit("L", tiny_dataset, micro_preset)
+
+
 @pytest.fixture(scope="module")
 def hybrid_model(tiny_dataset, micro_preset):
-    model = APOTS(predictor="H", adversarial=False, preset=micro_preset, seed=0)
-    return model.fit(tiny_dataset)
+    return _fit("H", tiny_dataset, micro_preset)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +109,8 @@ class TestBitwiseEager:
         "model_name, series_name",
         [
             ("served_model", "tiny_series"),  # F on the corridor
+            ("cnn_model", "tiny_series"),  # C on the corridor
+            ("lstm_model", "tiny_series"),  # L on the corridor
             ("hybrid_model", "tiny_series"),  # H on the corridor
             ("graph_model", "city_series"),  # F on a road graph's padded layout
         ],

@@ -191,14 +191,13 @@ ALLOWED: dict[str, tuple[str, ...]] = {
 
 #: Module -> importer prefixes that may reach it.  Unlike FORBIDDEN
 #: (which bans layers wholesale) this pins a single internal module to a
-#: short list of owners.  The compiled-tape replayer is an engine detail
-#: of the autograd substrate: only repro.nn itself and the three hot
-#: loops (core trainers, attacks, the serving forward) may import it, so
-#: everything else goes through the public eager API and the replay
-#: surface can change without a repo-wide audit.  Note it is deliberately NOT exported from
-#: ``repro.nn.__init__``.
+#: short list of owners.  The compiled forward replayer is an engine detail
+#: of the autograd substrate: only repro.nn itself and its one caller, the
+#: served forward, may import it, so everything else goes through the
+#: public eager API and the replay surface can change without a repo-wide
+#: audit.  Note it is deliberately NOT exported from ``repro.nn.__init__``.
 RESTRICTED_IMPORTERS: dict[str, tuple[str, ...]] = {
-    "repro.nn.compile": ("repro.nn", "repro.core", "repro.attacks", "repro.serving.forward"),
+    "repro.nn.compile": ("repro.nn", "repro.serving.forward"),
     # The continual-learning loop drives serving, never the reverse: a
     # forecast server must boot without the retraining machinery.  Tools
     # live outside src/repro, so the smoke scripts stay free to use it.

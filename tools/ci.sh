@@ -10,7 +10,6 @@ python tools/check_imports.py
 PYTHONPATH=src python tools/obs_smoke.py
 PYTHONPATH=src python tools/attack_smoke.py
 PYTHONPATH=src python tools/adv_train_smoke.py
-PYTHONPATH=src python tools/compile_smoke.py
 PYTHONPATH=src python tools/parallel_smoke.py
 PYTHONPATH=src python tools/fleet_smoke.py
 PYTHONPATH=src python tools/mlops_smoke.py
