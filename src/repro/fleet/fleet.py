@@ -47,9 +47,9 @@ from ..attacks.defense import GateConfig, PerturbationGate
 from ..core.zoo import load_model, model_fingerprint
 from ..obs.telemetry import Telemetry
 from ..parallel.group import WorkerGroup, WorkerGroupError
-from ..serving.errors import IncompleteWindowError
+from ..serving.errors import IncompleteWindowError, ServingError
 from ..serving.service import Forecast, ForecastService
-from ..serving.state import Observation, check_batch
+from ..serving.state import Observation, ObservationBatch, check_batch
 from .admission import AdmissionController
 from .errors import FleetClosedError, FleetError
 from .replica import ReplicaSpec
@@ -143,13 +143,15 @@ class ForecastFleet:
         self.features = model.features
         self.num_segments = num_segments
         self.shard_map = ShardMap(num_segments, shards, starts=shard_starts)
-        # Each observation's covering shards, from the checkpoint's
-        # window_rows table.  One shard serves in-process: nothing to route.
-        self._covering_shards = (
-            self.shard_map.covering_shards(self.features.window_rows(num_segments))
-            if shards > 1
-            else []
-        )
+        # Which shards read each segment's observations, from the
+        # checkpoint's window_rows table, as one (shards, segments) mask.
+        # One shard serves in-process: nothing to route.
+        self._routes: np.ndarray | None = None
+        if shards > 1:
+            self._routes = np.zeros((shards, num_segments), dtype=bool)
+            covering = self.shard_map.covering_shards(self.features.window_rows(num_segments))
+            for segment, covering_shards in enumerate(covering):
+                self._routes[list(covering_shards), segment] = True
         self.admission = AdmissionController(shards, max_queue_per_shard)
         self.telemetry = Telemetry()
         self._recorder = recorder
@@ -261,42 +263,47 @@ class ForecastFleet:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _validate_stream(self, observations: list[Observation]) -> None:
-        """Reject invalid, stale or gapped observations *before* any state mutates.
-
-        The same whole-batch rule as a single service's store, checked
-        against the parent's bookkeeping, so parent and every replica
-        stay consistent on error.
-        """
-        check_batch(observations, self._latest_step.tolist())
-
     def ingest(self, observation: Observation) -> None:
         self.ingest_many([observation])
 
-    def ingest_many(self, observations: Iterable[Observation]) -> int:
-        """Route one batch of observations to every covering shard's halo."""
+    def ingest_many(self, observations: ObservationBatch | Iterable[Observation]) -> int:
+        """Route one batch of observations to every covering shard's halo.
+
+        Takes an :class:`ObservationBatch` or observations, converted once
+        here.  The batch is validated against the parent's bookkeeping
+        with the store's whole-batch rule before any state moves, so
+        parent and replicas stay consistent on error; a rejected batch
+        emits ``fleet_ingest_rejected`` and bumps ``ingest_rejected``
+        before the error propagates.  Each covering shard is sent its
+        rows as a batch of columns.
+        """
         self._check_open()
-        observations = list(observations)
-        if not observations:
+        batch = ObservationBatch.of(observations)
+        if not len(batch):
             return 0
-        self._validate_stream(observations)
+        try:
+            streams = check_batch(batch, self._latest_step)
+        except ServingError as error:
+            self.telemetry.counter("ingest_rejected").inc()
+            self._emit("fleet_ingest_rejected", reason=str(error), count=len(batch))
+            raise
         # Parent bookkeeping first: shed answers must stay fresh even if
         # a replica dies inside this very scatter.
-        for obs in observations:
-            self._last_speed[obs.segment_id] = obs.speed_kmh
-            self._latest_step[obs.segment_id] = obs.step
-        self.telemetry.counter("observations").inc(len(observations))
+        self._last_speed[streams.segments] = batch.speeds[streams.last_rows]
+        self._latest_step[streams.segments] = streams.last
+        self.telemetry.counter("observations").inc(len(batch))
         if self._local is not None:
-            self._local.ingest_many(observations)
+            self._local.ingest_many(batch)
         else:
-            per_shard: dict[int, list[Observation]] = {}
-            for obs in observations:
-                for shard in self._covering_shards[obs.segment_id]:
-                    per_shard.setdefault(shard, []).append(obs)
+            covered = self._routes[:, batch.segment_ids]
             self._scatter_call(
-                {shard: ("ingest_batch", (batch,)) for shard, batch in per_shard.items()}
+                {
+                    shard: ("ingest_batch", (batch.take(rows),))
+                    for shard, rows in enumerate(covered)
+                    if rows.any()
+                }
             )
-        return len(observations)
+        return len(batch)
 
     def reset_segment(self, segment_id: int) -> None:
         """Drop a segment's buffered stream everywhere (gap recovery)."""
@@ -310,7 +317,7 @@ class ForecastFleet:
             self._scatter_call(
                 {
                     shard: ("reset_segment", (segment_id,))
-                    for shard in self._covering_shards[segment_id]
+                    for shard in np.flatnonzero(self._routes[:, segment_id]).tolist()
                 }
             )
 

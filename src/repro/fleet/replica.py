@@ -27,7 +27,7 @@ from typing import Sequence
 
 from ..attacks.defense import GateConfig, PerturbationGate
 from ..serving.service import Forecast, ForecastService
-from ..serving.state import Observation
+from ..serving.state import ObservationBatch
 from .router import ShardMap
 
 __all__ = ["ReplicaSpec", "ShardReplica"]
@@ -79,9 +79,14 @@ class ShardReplica:
         )
 
     # ------------------------------------------------------------------
-    def ingest_batch(self, observations: Sequence[Observation]) -> int:
-        """Absorb one routed halo batch; returns how many were ingested."""
-        return self.service.ingest_many(observations)
+    def ingest_batch(self, batch: ObservationBatch) -> int:
+        """Absorb one routed halo batch; returns how many were ingested.
+
+        The service's store validates it again, with the same array
+        masks: one validation path, so a replica never commits unchecked
+        readings.
+        """
+        return self.service.ingest_many(batch)
 
     def predict_batch(
         self,

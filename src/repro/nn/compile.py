@@ -442,12 +442,22 @@ def _owner(array: np.ndarray) -> np.ndarray:
 
 
 def _record_arrays(records):
-    """Every op output and replay-state array of a recording."""
+    """Every op output and replay-state array of a recording, nested meta included."""
     for node, _, _, meta in records:
         yield node.data
-        for value in (meta or {}).values():
-            values = value if isinstance(value, (list, tuple)) else (value,)
-            yield from (v for v in values if isinstance(v, np.ndarray))
+        yield from _meta_arrays(meta)
+
+
+def _meta_arrays(value):
+    """The arrays of a meta value: an array, or any list, tuple or dict of them."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _meta_arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _meta_arrays(item)
 
 
 class CompiledTape:

@@ -83,8 +83,10 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
     # Forecast fleet (repro.fleet) ---------------------------------------
     # Emitted by the fleet parent process only (replicas never hold the
     # recorder).  `fleet_shed` aggregates one shard's sheds per call so
-    # the log stays bounded under overload.
+    # the log stays bounded under overload; `fleet_ingest_rejected` is one
+    # event per refused ingest batch, naming its first fault.
     "fleet_shard_lost": {"shard": _INT, "method": _STR, "reason": _STR},
+    "fleet_ingest_rejected": {"reason": _STR, "count": _INT},
     "fleet_shed": {"shard": _INT, "count": _INT, "queue_depth": _INT, "reason": _STR},
     "fleet_drain": {
         "served": _INT,

@@ -23,7 +23,7 @@ from .errors import (
 )
 from ..obs.telemetry import Counter, Histogram, Telemetry
 from .service import Forecast, ForecastService
-from .state import Observation, SegmentStateStore, WindowView
+from .state import Observation, ObservationBatch, SegmentStateStore, WindowView
 
 __all__ = [
     "MicroBatcher",
@@ -38,6 +38,7 @@ __all__ = [
     "Forecast",
     "ForecastService",
     "Observation",
+    "ObservationBatch",
     "SegmentStateStore",
     "WindowView",
     "Counter",

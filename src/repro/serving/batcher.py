@@ -32,12 +32,14 @@ not, so every forward still sees a batch equal to a fresh zero-padded
 one.  ``forward`` must not keep references to its inputs.
 
 Padding fill: because a row's result does not depend on its co-riders,
-the rows a short chunk would pad may carry other windows instead, at no
-extra forward.  A flush given a ``fill`` asks it for at most the spare
-rows of each short chunk (``fill.take(spare)`` returns an
-``(images, day_types, flat)`` block, or ``None``), forwards them in the
-same batch and hands their values back as one array
-(``fill.give(values)``); no :class:`PendingForecast` is made for them.
+the rows a chunk would pad may carry other windows instead.  A flush
+given a ``fill`` asks it once for a block (``fill.take()`` returns an
+``(images, day_types, flat)`` block, or ``None``); the block's first rows
+ride in the last request chunk's spare rows and the rest run in further
+``max_batch_size`` forwards, the last one zero-padded.  A flush with no
+request queued still runs the block in forwards of its own.  Its values come
+back as one array (``fill.give(values)``); no :class:`PendingForecast`
+is made for them.
 """
 
 from __future__ import annotations
@@ -135,45 +137,52 @@ class MicroBatcher:
     def flush(self, fill=None) -> int:
         """Run every queued request through the model; returns the count.
 
-        With ``fill``, each chunk short of ``max_batch_size`` rows also
-        carries the fill's block in its spare rows (see the module
-        docstring).
+        With ``fill``, the forwards also carry the fill's block after the
+        requests (see the module docstring), even when no request is
+        queued: the requests may have gone in an automatic full flush.
         """
         queue, self._queue = self._queue, []
         self._oldest = None
-        for start in range(0, len(queue), self.max_batch_size):
-            self._run(queue[start : start + self.max_batch_size], fill)
-        return len(queue)
+        block = fill.take() if fill is not None else None
+        filled = 0 if block is None else len(block[2])
+        fill_values = np.empty(filled)
+        size, requests = self.max_batch_size, len(queue)
+        for start in range(0, requests + filled, size):
+            # Fill rows lo:hi follow this chunk's requests.
+            lo = max(start - requests, 0)
+            hi = max(min(start + size - requests, filled), lo)
+            fill_values[lo:hi] = self._run(queue[start : start + size], block, lo, hi)
+        if block is not None:
+            fill.give(fill_values)
+        return requests
 
-    def _padded_batch(self, view: WindowView) -> list[np.ndarray]:
+    def _padded_batch(self, shapes: tuple) -> list[np.ndarray]:
         """The reused zero-padded batch, reallocated only if the window shape changes."""
-        shapes = (view.image.shape, view.day_type.shape, view.flat.shape)
         batch = self._batch
         if batch is None or any(b.shape[1:] != shape for b, shape in zip(batch, shapes)):
             batch = [np.zeros((self.max_batch_size, *shape)) for shape in shapes]
             self._batch, self._rows_used = batch, 0
         return batch
 
-    def _run(self, chunk: list[PendingForecast], fill) -> None:
+    def _run(self, chunk: list[PendingForecast], block, lo: int, hi: int) -> np.ndarray:
+        """One forward of ``chunk`` then ``block`` rows ``lo:hi``; returns those rows' values."""
         size = len(chunk)
-        views = [p.view for p in chunk]
-        batch = self._padded_batch(views[0])
-        block = None
-        if fill is not None and size < self.max_batch_size:
-            block = fill.take(self.max_batch_size - size)
-        rows = size if block is None else size + len(block[2])
+        rows = size + hi - lo
+        if chunk:
+            views = [p.view for p in chunk]
+            requested = ([v.image for v in views], [v.day_type for v in views], [v.flat for v in views])
+            batch = self._padded_batch(tuple(rows_of[0].shape for rows_of in requested))
+        else:
+            batch = self._padded_batch(tuple(column.shape[1:] for column in block))
         stale = self._rows_used
         self._rows_used = max(stale, rows)  # rows that may hold windows if a copy fails
-        for inputs, rows_of, filled in zip(
-            batch,
-            ([v.image for v in views], [v.day_type for v in views], [v.flat for v in views]),
-            block if block is not None else (None, None, None),
-        ):
+        for index, inputs in enumerate(batch):
             # One copy per input, straight into the padded batch; rows the
-            # last flush filled beyond this one go back to zero.
-            np.stack(rows_of, out=inputs[:size])
-            if filled is not None:
-                inputs[size:rows] = filled
+            # last forward filled beyond this one go back to zero.
+            if chunk:
+                np.stack(requested[index], out=inputs[:size])
+            if rows > size:
+                inputs[size:rows] = block[index][lo:hi]
             if stale > rows:
                 inputs[rows:stale] = 0.0
         self._rows_used = rows
@@ -182,7 +191,6 @@ class MicroBatcher:
         for pending, value in zip(chunk, values[:size].tolist()):
             pending.value = value
             pending.done = True
-        if block is not None:
-            fill.give(values[size:])
         if self._telemetry is not None:
             self._telemetry.histogram("batch_size").observe(float(rows))
+        return values[size:]

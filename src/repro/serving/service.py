@@ -2,16 +2,19 @@
 
 Wiring (one instance serves one corridor):
 
-* :meth:`ForecastService.ingest` feeds observations into the
+* :meth:`ForecastService.ingest_many` feeds observations — an
+  :class:`~repro.serving.state.ObservationBatch` of columns, or a list
+  converted once — into the
   :class:`~repro.serving.state.SegmentStateStore`;
 * :meth:`ForecastService.predict` / :meth:`~ForecastService.predict_many`
   answer "what is segment s's speed ``beta`` ticks from now?" — cache
   first, then one coalesced forward through the
   :class:`~repro.serving.batcher.MicroBatcher`, replayed from the
-  model's compiled tape (:class:`~repro.serving.forward.ServedForward`),
-  whose spare padding rows carry the shard's other ready windows
-  (:class:`PaddingFill`) so later misses in the same update need no
-  forward;
+  model's compiled tape (:class:`~repro.serving.forward.ServedForward`);
+  the first cached forward of a store update also forecasts the shard's
+  other ready windows, in its spare padding rows and further full
+  forwards (:class:`PaddingFill`), so later misses in the same update
+  need no forward;
 * :meth:`ForecastService.swap_checkpoint` hot-swaps the model mid-stream
   from a :mod:`repro.core.zoo` checkpoint (which carries the fitted
   scalers); cache entries are namespaced by the serving model's
@@ -45,7 +48,7 @@ from .batcher import MicroBatcher
 from .cache import ForecastCache
 from .errors import IncompleteWindowError
 from .forward import ServedForward
-from .state import Observation, SegmentStateStore, WindowView
+from .state import Observation, ObservationBatch, SegmentStateStore, WindowView
 from ..obs.telemetry import Telemetry
 
 __all__ = ["Forecast", "ForecastService"]
@@ -70,31 +73,28 @@ class Forecast:
 
 
 class PaddingFill:
-    """Puts a short flush's padding rows to work, and keeps what they forecast.
+    """Forecasts the shard's other ready windows once per store update, and keeps them.
 
-    A cached flush of ``k < max_batch_size`` requests would forward
-    ``max_batch_size - k`` rows of zeros.  Because the padding makes
-    each row's result independent of its co-riders, those rows may
-    carry other windows instead, and their forecasts are bitwise what an
-    on-demand forward would give.  The first fill of a store update
-    lists, with one readiness mask, the owned segments whose window is
-    complete and reads no gate-quarantined segment.  Each flush then
-    takes the next of them in ascending id from a cursor, passing over
-    any whose window has been read or assembled since the update (it was
-    forecast or answered from the cache); the store assembles the chosen
-    windows in one pass, at most one batch per flush.  The km/h
-    forecasts land in a table that a later cache miss in the same
-    update reads instead of queuing a forward.  The list, cursor and
-    table belong to one store update: the next one (or :meth:`reset`,
-    on a checkpoint swap) starts them afresh.
+    A cached flush of ``k`` requests forwards ``max_batch_size`` rows
+    however small ``k`` is.  Because the padding makes each row's result
+    independent of its co-riders, the spare rows may carry other windows
+    instead, and their forecasts are bitwise what an on-demand forward
+    would give.  The first cached flush of a store update takes, as one
+    block, every owned window that is complete, reads no gate-quarantined
+    segment and has not been read or assembled since the update (it was
+    forecast or answered from the cache): one readiness mask lists them
+    and the store assembles them in one pass.  They fill the requests'
+    spare rows and then as many further full forwards as they need.  The
+    km/h forecasts land in a table that a later cache miss in the same
+    update reads instead of queuing a forward.  The table belongs to one
+    store update: later flushes in it take nothing, and the next update
+    (or :meth:`reset`, on a checkpoint swap) starts afresh.
 
     Holds the store, the gate and the telemetry but not the service, so
     the service's objects form no reference cycle.
     """
 
-    __slots__ = (
-        "_store", "_gate", "_telemetry", "_range", "_update", "_candidates", "_next", "_kmh", "_taken"
-    )
+    __slots__ = ("_store", "_gate", "_telemetry", "_range", "_update", "_kmh", "_taken")
 
     def __init__(
         self,
@@ -109,10 +109,8 @@ class PaddingFill:
         self.reset()
 
     def reset(self) -> None:
-        """Start the cursor and the table afresh, for the store's current update."""
-        self._update = self._store.updates
-        self._candidates: np.ndarray | None = None  # found by the update's first fill
-        self._next = 0  # the cursor: candidates before it were filled or read
+        """Drop the table: the next cached flush fills afresh."""
+        self._update: int | None = None  # the store update the table belongs to
         self._kmh: dict[int, float] = {}
 
     def lookup(self, segment_id: int) -> float | None:
@@ -121,17 +119,19 @@ class PaddingFill:
             return None
         return self._kmh.get(segment_id)
 
-    def take(self, spare: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Up to ``spare`` fill windows as an ``(images, day_types, flat)`` block."""
-        if self._update != self._store.updates:
-            self.reset()
-        if self._candidates is None:
-            # Quarantine moves only when an ingest is screened, a store update.
-            quarantined = self._gate.quarantined_segments() if self._gate is not None else []
-            avoid = np.asarray(quarantined, dtype=np.int64) if quarantined else None
-            self._candidates = self._store.ready_segments(*self._range, avoid)
-        used, segments, block = self._store.fill_windows(self._candidates[self._next :], spare)
-        self._next += used
+    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """This update's fill windows as one ``(images, day_types, flat)`` block.
+
+        ``None`` when there are none, or when this update's fill ran already.
+        """
+        if self._update == self._store.updates:
+            return None
+        self._update, self._kmh = self._store.updates, {}
+        self._telemetry.counter("fills").inc()
+        # Quarantine moves only when an ingest is screened, a store update.
+        quarantined = self._gate.quarantined_segments() if self._gate is not None else []
+        avoid = np.asarray(quarantined, dtype=np.int64) if quarantined else None
+        segments, block = self._store.fill_windows(self._store.ready_segments(*self._range, avoid))
         if block is None:
             return None
         self._taken = segments.tolist()
@@ -158,8 +158,10 @@ class ForecastService:
         Micro-batching knobs (see :mod:`repro.serving.batcher`); every
         forward runs on a batch padded to ``max_batch_size`` rows,
         replayed from the model's compiled tape (see
-        :mod:`repro.serving.forward`).  With the cache on, the padding
-        rows carry owned windows nobody asked for yet
+        :mod:`repro.serving.forward`).  With the cache on, the first
+        forward of each store update also forecasts the owned windows
+        nobody asked for yet, in its padding rows and up to
+        ``ceil(ready / max_batch_size)`` forwards in all
         (:class:`PaddingFill`).
     cache_capacity, cache_ttl_seconds:
         Forecast cache sizing; TTL defaults to one 5-minute tick.
@@ -260,21 +262,22 @@ class ForecastService:
     def ingest(self, observation: Observation) -> None:
         self.ingest_many((observation,))
 
-    def ingest_many(self, observations: Iterable[Observation]) -> int:
-        """Absorb a batch (all or nothing, see the store), then screen it."""
-        observations = list(observations)
-        count = self.store.ingest_many(observations)
+    def ingest_many(self, observations: ObservationBatch | Iterable[Observation]) -> int:
+        """Absorb a batch (all or nothing, see the store), then screen it.
+
+        Takes an :class:`ObservationBatch` or observations, converted once here.
+        """
+        batch = ObservationBatch.of(observations)
+        count = self.store.ingest_many(batch)
         self.telemetry.counter("observations").inc(count)
         if self.gate is not None:
-            for observation in observations:
-                self._screen(observation)
+            for reading in zip(batch.segment_ids.tolist(), batch.steps.tolist(), batch.speeds.tolist()):
+                self._screen(*reading)
         return count
 
-    def _screen(self, observation: Observation) -> None:
+    def _screen(self, segment_id: int, step: int, speed_kmh: float) -> None:
         """Run the perturbation gate over one accepted reading."""
-        decision = self.gate.screen(
-            observation.segment_id, observation.step, observation.speed_kmh
-        )
+        decision = self.gate.screen(segment_id, step, speed_kmh)
         self.telemetry.counter("gate_checks").inc()
         if decision.suspect:
             self.telemetry.counter("gate_hits").inc()
@@ -382,8 +385,7 @@ class ForecastService:
         forecast, key, view = self._resolve(segment_id, horizon, use_cache)
         if forecast is None:
             pending = self.batcher.submit(view)
-            if not pending.done:
-                self.batcher.flush(self._fill if use_cache else None)
+            self.batcher.flush(self._fill if use_cache else None)
             forecast = self._complete(key, view, pending.value, horizon, use_cache)
         self.telemetry.histogram("predict_latency_ms").observe(
             (time.perf_counter() - start) * 1e3
@@ -447,7 +449,9 @@ class ForecastService:
                 queued.append((position, key, view, self.batcher.submit(view)))
             if served_from_fill:
                 self.telemetry.counter("fill_served").inc(served_from_fill)
-        self.batcher.flush(self._fill if use_cache else None)
+        # A call that forwards anything (maybe in an automatic full flush
+        # already) brings the update's fill; one that forwards nothing does not.
+        self.batcher.flush(self._fill if use_cache and queued else None)
         for position, key, view, pending in queued:
             results[position] = self._complete(key, view, pending.value, horizon, use_cache)
         self.telemetry.histogram("predict_many_latency_ms").observe(

@@ -43,8 +43,10 @@ nobody has asked for yet, for a forward's spare padding rows (see
 lazily: a filled window's :class:`WindowView` and fingerprint are built
 only when a request reads it.
 
-Observations are validated strictly on ingest, a whole batch before any
-of it is committed: an observation that goes backwards raises
+Observations arrive as an :class:`ObservationBatch` — one array per
+field — or as a list of :class:`Observation`, converted once on entry.
+They are validated strictly on ingest, a whole batch before any of it is
+committed, with array masks: an observation that goes backwards raises
 :class:`StaleObservationError`, one that skips ticks raises
 :class:`StreamGapError` (a broken feed must be restarted with
 :meth:`SegmentStateStore.reset_segment` rather than silently stitched),
@@ -56,7 +58,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +73,7 @@ from .errors import (
     UnknownSegmentError,
 )
 
-__all__ = ["Observation", "WindowView", "SegmentStateStore", "check_batch"]
+__all__ = ["Observation", "ObservationBatch", "WindowView", "SegmentStateStore", "check_batch"]
 
 #: Context-ring column layout: temperature, precipitation, 4 day-type bits.
 _CTX_TEMP, _CTX_PRECIP, _CTX_DAY = 0, 1, slice(2, 6)
@@ -115,70 +119,175 @@ class WindowView:
     last_speed_kmh: float
 
 
-def _check_values(obs: Observation) -> None:
-    """Raise :class:`InvalidObservationError` unless every field is a real reading."""
-    # Fast path, run on every ingested reading: a sum of finite fields is
-    # finite (barring overflow, which the field-by-field pass clears).
-    speed, temperature, precipitation = obs.speed_kmh, obs.temperature, obs.precipitation
-    total = speed + obs.event
-    if temperature is not None:
-        total += temperature
-    if precipitation is not None:
-        total += precipitation
-    if obs.day_type is not None:
-        total += sum(obs.day_type)
-    if speed >= 0.0 and math.isfinite(total):
-        return
-    if not (math.isfinite(speed) and speed >= 0.0):
-        raise InvalidObservationError(
-            f"segment {obs.segment_id} step {obs.step}: speed_kmh={obs.speed_kmh!r} "
-            f"is not a finite non-negative speed"
+@dataclass(frozen=True, eq=False)
+class ObservationBatch:
+    """A batch of readings as columns: the ingest format of the store, service and fleet.
+
+    Row ``i`` of every column is one reading.  A context field a reading
+    leaves out (``None`` on an :class:`Observation`) is ``False`` in its
+    presence mask and 0.0 in its column; NaN is a value, which
+    :func:`check_batch` rejects, never a stand-in for "absent".
+    """
+
+    segment_ids: np.ndarray  # (N,) int64
+    steps: np.ndarray  # (N,) int64
+    speeds: np.ndarray  # (N,) float64, km/h
+    events: np.ndarray  # (N,) float64
+    temperature: np.ndarray  # (N,) float64
+    precipitation: np.ndarray  # (N,) float64
+    day_types: np.ndarray  # (N, 4) float64
+    has_temperature: np.ndarray  # (N,) bool
+    has_precipitation: np.ndarray  # (N,) bool
+    has_day_type: np.ndarray  # (N,) bool
+
+    def __len__(self) -> int:
+        return len(self.segment_ids)
+
+    @classmethod
+    def from_observations(cls, observations) -> "ObservationBatch":
+        """Columns of a sequence of :class:`Observation`, read in one pass."""
+        segment_ids, steps, speeds, events, temperature, precipitation, day_types = (
+            [], [], [], [], [], [], []
         )
-    fields = [("event", obs.event), ("temperature", obs.temperature), ("precipitation", obs.precipitation)]
-    if obs.day_type is not None:
-        fields.extend(("day_type", value) for value in obs.day_type)
-    for name, value in fields:
-        if value is not None and not math.isfinite(value):
-            raise InvalidObservationError(
-                f"segment {obs.segment_id} step {obs.step}: {name}={value!r} is not finite"
-            )
+        for obs in observations:
+            segment_ids.append(obs.segment_id)
+            steps.append(obs.step)
+            speeds.append(obs.speed_kmh)
+            events.append(obs.event)
+            temperature.append(obs.temperature)
+            precipitation.append(obs.precipitation)
+            day_types.append(obs.day_type)
+        n = len(segment_ids)
+        has_temperature, temperature = _optional_column(temperature, n)
+        has_precipitation, precipitation = _optional_column(precipitation, n)
+        has_day_type = np.fromiter([d is not None for d in day_types], bool, n)
+        present = day_types if has_day_type.all() else [
+            (0.0, 0.0, 0.0, 0.0) if d is None else d for d in day_types
+        ]
+        if any(map((4).__ne__, map(len, present))):
+            raise ValueError("day_type must hold 4 day-type bits")
+        return cls(
+            np.fromiter(segment_ids, np.int64, n),
+            np.fromiter(steps, np.int64, n),
+            np.fromiter(speeds, np.float64, n),
+            np.fromiter(events, np.float64, n),
+            temperature,
+            precipitation,
+            np.fromiter(chain.from_iterable(present), np.float64, 4 * n).reshape(n, 4),
+            has_temperature,
+            has_precipitation,
+            has_day_type,
+        )
+
+    @classmethod
+    def of(cls, observations) -> "ObservationBatch":
+        """``observations`` if it is a batch already, else its columns."""
+        if isinstance(observations, cls):
+            return observations
+        return cls.from_observations(observations)
+
+    def take(self, index) -> "ObservationBatch":
+        """The rows ``index`` selects (integer positions or a boolean mask), in order."""
+        return ObservationBatch(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def check_batch(batch, latest_steps: list[int]) -> dict[int, tuple[int, int]]:
+def _optional_column(values: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(presence mask, values with 0.0 for an absent one) of an optional float field."""
+    present = np.fromiter([v is not None for v in values], bool, n)
+    if not present.all():
+        values = [0.0 if v is None else v for v in values]
+    return present, np.fromiter(values, np.float64, n)
+
+
+class BatchStreams(NamedTuple):
+    """What :func:`check_batch` learnt of a valid batch, per touched segment."""
+
+    segments: np.ndarray  # ascending
+    first: np.ndarray  # the first step of each segment's readings
+    last: np.ndarray  # the last; the steps between are consecutive
+    last_rows: np.ndarray  # the batch row of each segment's last reading
+
+
+def check_batch(batch: ObservationBatch, latest: np.ndarray) -> BatchStreams:
     """Validate a batch of readings against each segment's stream, committing nothing.
 
-    ``latest_steps[s]`` is segment ``s``'s latest ingested step (``-1``
-    when it has none).  Raises the first fault in batch order:
-    :class:`UnknownSegmentError`, :class:`InvalidObservationError`,
-    :class:`StaleObservationError` (a step at or before the latest) or
-    :class:`StreamGapError` (a skipped step).  Returns, per touched
-    segment, the first and last step of its readings, which are
-    consecutive.
+    ``latest[s]`` is segment ``s``'s latest ingested step (``-1`` when it
+    has none).  Raises the first fault in batch order; within a reading,
+    :class:`UnknownSegmentError`, then :class:`InvalidObservationError`
+    (a negative or non-finite speed, then a non-finite event,
+    temperature, precipitation or day-type bit), then
+    :class:`StaleObservationError` (a step at or before the segment's
+    previous one) or :class:`StreamGapError` (a skipped step).  A
+    reading's previous step is that of the segment's last reading
+    earlier in the batch, or ``latest`` for its first.
     """
-    num_segments = len(latest_steps)
-    streams: dict[int, tuple[int, int]] = {}
-    for obs in batch:
-        seg, step = obs.segment_id, obs.step
-        if not 0 <= seg < num_segments:
-            raise UnknownSegmentError(f"segment {seg} outside corridor 0..{num_segments - 1}")
-        _check_values(obs)
-        seen = streams.get(seg)
-        if seen is None:
-            first, latest = step, latest_steps[seg]
-        else:
-            first, latest = seen
-        if latest >= 0 and step != latest + 1:
-            if step <= latest:
-                raise StaleObservationError(
-                    f"segment {seg}: observation for step {step} arrived after "
-                    f"step {latest} was already ingested (out of order)"
-                )
-            raise StreamGapError(
-                f"segment {seg}: stream skipped steps {latest + 1}..{step - 1}; "
-                f"call reset_segment({seg}) to restart the stream"
+    num_segments = len(latest)
+    segments, steps, speeds = batch.segment_ids, batch.steps, batch.speeds
+    known = (segments >= 0) & (segments < num_segments)
+    faulty = ~known
+    faulty |= ~(speeds >= 0.0)  # NaN fails the comparison too
+    faulty |= ~np.isfinite(speeds)
+    faulty |= ~np.isfinite(batch.events)
+    faulty |= batch.has_temperature & ~np.isfinite(batch.temperature)
+    faulty |= batch.has_precipitation & ~np.isfinite(batch.precipitation)
+    faulty |= batch.has_day_type & ~np.isfinite(batch.day_types).all(axis=1)
+    # Each reading's previous step: group readings by segment, keeping
+    # batch order within a segment.  An unknown id is read as segment 0:
+    # it is a fault itself, and it sorts after every earlier reading of
+    # segment 0, so it moves no earlier reading's previous step.
+    grouped = np.where(known, segments, 0)
+    order = np.argsort(grouped, kind="stable")
+    grouped = grouped[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = grouped[1:] != grouped[:-1]
+    previous = np.empty(len(order), dtype=np.int64)
+    previous[1:] = steps[order[:-1]]
+    previous[starts] = latest[grouped[starts]]
+    prev = np.empty_like(previous)
+    prev[order] = previous
+    faulty |= (prev >= 0) & (steps != prev + 1)
+    if faulty.any():
+        row = int(np.argmax(faulty))
+        _raise_first(batch, row, num_segments, int(prev[row]))
+    ends = np.ones_like(starts)  # a group ends where the next starts
+    ends[:-1] = starts[1:]
+    return BatchStreams(
+        grouped[starts], steps[order[starts]], steps[order[ends]], order[ends]
+    )
+
+
+def _raise_first(batch: ObservationBatch, row: int, num_segments: int, latest: int) -> None:
+    """Raise row ``row``'s highest-priority fault; see :func:`check_batch`."""
+    seg, step = int(batch.segment_ids[row]), int(batch.steps[row])
+    if not 0 <= seg < num_segments:
+        raise UnknownSegmentError(f"segment {seg} outside corridor 0..{num_segments - 1}")
+    speed = float(batch.speeds[row])
+    if not (math.isfinite(speed) and speed >= 0.0):
+        raise InvalidObservationError(
+            f"segment {seg} step {step}: speed_kmh={speed!r} "
+            f"is not a finite non-negative speed"
+        )
+    values = [("event", float(batch.events[row]))]
+    if batch.has_temperature[row]:
+        values.append(("temperature", float(batch.temperature[row])))
+    if batch.has_precipitation[row]:
+        values.append(("precipitation", float(batch.precipitation[row])))
+    if batch.has_day_type[row]:
+        values.extend(("day_type", value) for value in batch.day_types[row].tolist())
+    for name, value in values:
+        if not math.isfinite(value):
+            raise InvalidObservationError(
+                f"segment {seg} step {step}: {name}={value!r} is not finite"
             )
-        streams[seg] = (first, step)
-    return streams
+    if step <= latest:
+        raise StaleObservationError(
+            f"segment {seg}: observation for step {step} arrived after "
+            f"step {latest} was already ingested (out of order)"
+        )
+    raise StreamGapError(
+        f"segment {seg}: stream skipped steps {latest + 1}..{step - 1}; "
+        f"call reset_segment({seg}) to restart the stream"
+    )
 
 
 class _ContextRing:
@@ -327,49 +436,47 @@ class SegmentStateStore:
     def ingest_many(self, observations) -> int:
         """Validate a whole batch, then absorb it; returns how many.
 
-        Raises what :func:`check_batch` raises, and then nothing of the
-        batch has been committed.  A batch may carry several consecutive
-        steps of one segment.
+        Takes an :class:`ObservationBatch` or a sequence of
+        :class:`Observation` (converted once, here).  Raises what
+        :func:`check_batch` raises, and then nothing of the batch has
+        been committed.  A batch may carry several consecutive steps of
+        one segment.
         """
-        batch = observations if isinstance(observations, (list, tuple)) else list(observations)
-        if not batch:
+        batch = ObservationBatch.of(observations)
+        if not len(batch):
             return 0
-        streams = check_batch(batch, self._latest.tolist())
-        steps = np.fromiter([obs.step for obs in batch], np.int64, len(batch))
-        segments = [obs.segment_id for obs in batch]
+        streams = check_batch(batch, self._latest)
+        steps, segments = batch.steps, batch.segment_ids
         slots = steps % self._capacity
-        self._speed_data[segments, slots] = [obs.speed_kmh for obs in batch]
-        self._event_data[segments, slots] = [float(obs.event) for obs in batch]
+        self._speed_data[segments, slots] = batch.speeds
+        self._event_data[segments, slots] = batch.events
         # A segment's readings in a batch are consecutive steps; they extend
         # its contiguous run when the first one follows the stored latest.
-        touched = list(streams)
-        first, last = np.array(list(streams.values()), dtype=np.int64).T
+        touched, first, last = streams.segments, streams.first, streams.last
         run = np.where(first == self._latest[touched] + 1, self._count[touched], 0)
         self._count[touched] = np.minimum(run + last - first + 1, self._capacity)
         self._latest[touched] = last
         # Context rows change only between runs of equal steps.
         bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(batch)]
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            self._ingest_context(int(steps[start]), batch[start:stop])
+            self._ingest_context(int(steps[start]), batch, start, stop)
         self._updated()
         return len(batch)
 
-    def _ingest_context(self, step: int, run) -> None:
-        """Fold one run of same-step readings into the context ring.
+    def _ingest_context(self, step: int, batch: ObservationBatch, start: int, stop: int) -> None:
+        """Fold one run of same-step readings, rows ``[start, stop)``, into the context ring.
 
         Each field takes the last value the run provides, as if the
         readings were folded one by one.
         """
-        temperature = precipitation = day_type = None
-        for obs in reversed(run):
-            if temperature is None:
-                temperature = obs.temperature
-            if precipitation is None:
-                precipitation = obs.precipitation
-            if day_type is None:
-                day_type = obs.day_type
-            if temperature is not None and precipitation is not None and day_type is not None:
-                break
+
+        def last_present(present: np.ndarray) -> int | None:
+            rows = np.flatnonzero(present[start:stop])
+            return start + int(rows[-1]) if len(rows) else None
+
+        temperature = last_present(batch.has_temperature)
+        precipitation = last_present(batch.has_precipitation)
+        day_type = last_present(batch.has_day_type)
         ctx = self._context
         if ctx.latest is not None and step <= ctx.latest:
             # Another reading already opened this tick (or a later one);
@@ -383,11 +490,11 @@ class SegmentStateStore:
         else:
             row = np.array([0.0, 0.0, *_DEFAULT_DAY_TYPE])
         if temperature is not None:
-            row[_CTX_TEMP] = temperature
+            row[_CTX_TEMP] = batch.temperature[temperature]
         if precipitation is not None:
-            row[_CTX_PRECIP] = precipitation
+            row[_CTX_PRECIP] = batch.precipitation[precipitation]
         if day_type is not None:
-            row[_CTX_DAY] = day_type
+            row[_CTX_DAY] = batch.day_types[day_type]
         if ctx.latest is None or step > ctx.latest:
             ctx.push(step, row)
 
@@ -573,33 +680,29 @@ class SegmentStateStore:
             ready &= ~np.isin(self._rows[segments], avoid).any(axis=1)
         return segments[ready]
 
-    def fill_windows(
-        self, candidates: np.ndarray, limit: int
-    ) -> tuple[int, np.ndarray, "WindowBlock | None"]:
-        """Assemble the first ``limit`` of ``candidates`` whose window nobody has read yet.
+    def fill_windows(self, candidates: np.ndarray) -> tuple[np.ndarray, "WindowBlock | None"]:
+        """Assemble every one of ``candidates`` whose window nobody has read yet.
 
-        A padding fill: the windows ride in a short forward's spare rows.
-        ``candidates`` come from :meth:`ready_segments` in the current
-        update; those whose window has been read or assembled since the
-        update are passed over.  The chosen windows are assembled in one
-        vectorised pass, as a block, and memoised lazily: a window's
-        :class:`WindowView` and fingerprint are built only when a request
-        reads it, and equal what :meth:`windows_many` would have built.
-        Returns how many candidates this used up, the chosen segments and
-        their block (``None`` when there are none).
+        A padding fill: the windows ride in a forward's spare rows and
+        the fill-only forwards after it.  ``candidates`` come from
+        :meth:`ready_segments` in the current update; those whose window
+        has been read or assembled since the update are passed over.  The
+        chosen windows are assembled in one vectorised pass, as a block,
+        and memoised lazily: a window's :class:`WindowView` and
+        fingerprint are built only when a request reads it, and equal
+        what :meth:`windows_many` would have built.  Returns the chosen
+        segments and their block (``None`` when there are none).
         """
-        unread = np.flatnonzero(~self._memoised[candidates])[:limit]
-        used = int(unread[-1]) + 1 if len(unread) == limit else len(candidates)
-        if not len(unread):
-            return used, unread, None
-        chosen = candidates[unread]
+        chosen = candidates[~self._memoised[candidates]]
+        if not len(chosen):
+            return chosen, None
         block = self._gather(chosen)
         self._memoised[chosen] = True
         self._filled.update(
             (segment_id, (block, row)) for row, segment_id in enumerate(chosen.tolist())
         )
         self.windows_assembled += len(chosen)
-        return used, chosen, block
+        return chosen, block
 
     def _build_filled(self, segment_id: int) -> bool:
         """Turn a lazily memoised fill window into its view; False if there is none."""

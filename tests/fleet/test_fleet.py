@@ -247,6 +247,23 @@ class TestStreamContract:
         assert answers[0] == answers[1]
         assert all(f.speed_kmh == f.speed_kmh for f in answers[0])  # no NaN served
 
+    def test_rejected_batch_is_an_event_and_a_counter(self, fleet_checkpoint, tiny_series, tmp_path):
+        recorder = RunRecorder(tmp_path, manifest={"test": "fleet-ingest-rejected"})
+        with ForecastFleet(fleet_checkpoint, tiny_series.num_segments, recorder=recorder) as fleet:
+            replay_ticks(fleet, tiny_series, range(2))
+            batch = [observation_at(tiny_series, s, 2) for s in range(tiny_series.num_segments)]
+            batch[5] = observation_at(tiny_series, 5, 4)
+            with pytest.raises(StreamGapError) as raised:
+                fleet.ingest_many(batch)
+            assert fleet.telemetry.counter("ingest_rejected").value == 1
+            assert fleet.telemetry.counter("observations").value == 2 * tiny_series.num_segments
+        recorder.close()
+        assert validate_run_dir(tmp_path) == []
+        events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+        rejected = [e for e in events if e["kind"] == "fleet_ingest_rejected"]
+        assert len(rejected) == 1
+        assert rejected[0]["reason"] == str(raised.value) and rejected[0]["count"] == len(batch)
+
     def test_closed_fleet_refuses_cleanly(self, fleet_checkpoint, tiny_series):
         fleet = ForecastFleet(fleet_checkpoint, tiny_series.num_segments)
         fleet.close()

@@ -90,6 +90,11 @@ class TestValidateEvent:
                 method="predict_batch",
                 reason="group worker 0 died mid-call during 'predict_batch' (exitcode 21)",
             ),
+            "fleet_ingest_rejected": envelope(
+                "fleet_ingest_rejected",
+                reason="segment 3: stream skipped steps 5..6; call reset_segment(3) to restart the stream",
+                count=1022,
+            ),
             "fleet_shed": envelope(
                 "fleet_shed", shard=0, count=3, queue_depth=8, reason="queue full"
             ),

@@ -131,14 +131,14 @@ class TestPadding:
 
 
 class BlockFill:
-    """A padding fill over fixed views: offers them as blocks and keeps what comes back."""
+    """A padding fill over fixed views: offers them all as one block, once, and keeps what comes back."""
 
     def __init__(self, views):
-        self.views, self.spares, self.given = list(views), [], []
+        self.views, self.takes, self.given = list(views), 0, []
 
-    def take(self, spare):
-        self.spares.append(spare)
-        block, self.views = self.views[:spare], self.views[spare:]
+    def take(self):
+        self.takes += 1
+        block, self.views = self.views, []
         if not block:
             return None
         return tuple(np.stack([getattr(v, name) for v in block]) for name in ("image", "day_type", "flat"))
@@ -166,18 +166,22 @@ class TestFill:
         telemetry = Telemetry()
         batcher = MicroBatcher(copying_forward, max_batch_size=8, telemetry=telemetry)
         requests = [make_view(i) for i in range(3)]
-        extra = [make_view(i) for i in range(10, 14)]
+        extra = [make_view(i) for i in range(10, 24)]
         fill = BlockFill(extra)
         pendings = [batcher.submit(view) for view in requests]
         batcher.flush(fill)
-        assert fill.spares == [5]
-        want = padded(requests + extra, 8)
-        for got, expected in zip(seen[0], want):
-            assert got.tobytes() == expected.tobytes()
-        sums = want[2].sum(axis=1)
+        # 3 requests + 14 fill rows: the requests' spare rows, one full
+        # fill-only forward, then the last one zero-padded.
+        assert fill.takes == 1 and len(seen) == 3
+        rows = requests + extra
+        for forward, first in zip(seen, (0, 8, 16)):
+            for got, expected in zip(forward, padded(rows[first : first + 8], 8)):
+                assert got.tobytes() == expected.tobytes()
+        sums = padded(rows, 17)[2].sum(axis=1)
         assert [p.value for p in pendings] == sums[:3].tolist()
-        assert [g.tolist() for g in fill.given] == [sums[3:7].tolist()]  # one array for the block
-        assert telemetry.histogram("batch_size").maximum == 7
+        assert [g.tolist() for g in fill.given] == [sums[3:].tolist()]  # one array for the block
+        histogram = telemetry.histogram("batch_size")
+        assert (histogram.count, histogram.maximum, histogram.minimum) == (3, 8, 1)
 
         # Shorter flushes, with a smaller fill and then none, see exactly
         # fresh zero padding after their rows.
@@ -198,13 +202,33 @@ class TestFill:
             return flat.sum(axis=1)
 
         batcher = MicroBatcher(recording_forward, max_batch_size=4)
+        assert batcher.flush(BlockFill([])) == 0 and seen == []  # nothing to forward at all
         fill = BlockFill([])
         view = make_view(0)
         pending = batcher.submit(view)
         batcher.flush(fill)
-        assert fill.spares == [3] and fill.given == []
-        assert seen[0].tobytes() == padded([view], 4)[2].tobytes()
+        assert fill.takes == 1 and fill.given == []
+        assert len(seen) == 1 and seen[0].tobytes() == padded([view], 4)[2].tobytes()
         assert pending.value == view.flat.sum()
+
+    def test_a_fill_after_a_full_flush_runs_in_its_own_forwards(self):
+        seen = []
+
+        def recording_forward(images, day_types, flat):
+            seen.append(flat.copy())
+            return flat.sum(axis=1)
+
+        batcher = MicroBatcher(recording_forward, max_batch_size=2)
+        requests, extra = [make_view(i) for i in range(2)], [make_view(i) for i in (30, 31, 32)]
+        pendings = [batcher.submit(view) for view in requests]  # a full batch flushes at once
+        assert all(p.done for p in pendings) and len(seen) == 1
+        fill = BlockFill(extra)
+        assert batcher.flush(fill) == 0
+        assert [f.tobytes() for f in seen[1:]] == [
+            padded(extra[:2], 2)[2].tobytes(),
+            padded(extra[2:], 2)[2].tobytes(),
+        ]
+        assert fill.given[0].tolist() == padded(extra, 3)[2].sum(axis=1).tolist()
 
     def test_output_maps_each_forward_once(self):
         calls = []

@@ -175,6 +175,41 @@ class TestTapeLifetime:
             gc.enable()
 
 
+class TestTapeBytes:
+    def test_tape_bytes_count_the_fused_lstm_caches(self, hybrid_model, tiny_series, monkeypatch):
+        from repro.nn import compile as compiled
+
+        build = compiled.CompiledTape.__init__
+
+        def keeping_records(tape, inputs, outputs, records):
+            build(tape, inputs, outputs, records)
+            tape.records = list(records)
+
+        monkeypatch.setattr(compiled.CompiledTape, "__init__", keeping_records)
+        service = ForecastService(hybrid_model, tiny_series.num_segments, max_batch_size=8)
+        warm(service, tiny_series)
+        tape = current_tape(service)
+        caches = [
+            array
+            for _, _, op, meta in tape.records
+            if op == "lstm_fused"
+            for array in meta["caches"].values()
+        ]
+        assert len(caches) == 7 * 2  # seven BPTT caches per LSTM layer
+        cache_bytes = sum(array.nbytes for array in caches)
+
+        def flat_meta_arrays(records):  # the count before nested meta was read
+            for node, _, _, meta in records:
+                yield node.data
+                for value in (meta or {}).values():
+                    values = value if isinstance(value, (list, tuple)) else (value,)
+                    yield from (v for v in values if isinstance(v, np.ndarray))
+
+        monkeypatch.setattr(compiled, "_record_arrays", flat_meta_arrays)
+        assert tape.nbytes == tape._retained_nbytes(tape.records) + cache_bytes
+        assert service.snapshot()["forward"]["tape_nbytes"] == tape.nbytes
+
+
 class _BakedConstant(nn.Module):
     """Reads an input value into a Python float: a replay keeps the recorded one."""
 

@@ -8,6 +8,7 @@ and with a fresh service that never filled anything.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -99,17 +100,66 @@ class TestFilledForecasts:
         assert service.snapshot()["fill"]["served"] == 1
 
     def test_fill_takes_owned_segments_in_ascending_order(self, served_model, tiny_series):
-        # Two rows a forward: each flush carries one request and one fill.
+        # Two rows a forward: the request's spare row, then fill-only forwards.
         service = warm(served_model, tiny_series, max_batch_size=2)
+        served, batches = service.batcher._forward, []
+
+        def recording(images, day_types, flat):
+            batches.append(flat.copy())
+            return served(images, day_types, flat)
+
+        service.batcher._forward = recording
         service.predict(6)
+        flats = {s: service.store.window(s).flat.tobytes() for s in range(2, 7)}
+        rows = [[s for s, flat in flats.items() if flat == row.tobytes()] for batch in batches for row in batch]
+        assert rows == [[6], [2], [3], [4], [5], []]  # the last forward's spare row stays zero
+        assert not batches[-1][1].any()
         before = forwards(service)
-        assert not service.predict(2).from_cache  # the lowest servable id was filled
+        assert not any(service.predict(s).from_cache for s in (2, 3, 4, 5))
         assert forwards(service) == before
-        service.predict(3)  # the next one was not: this call forwards, and fills 4
-        assert forwards(service) == before + 1
-        service.predict(4)
-        assert forwards(service) == before + 1
-        assert service.snapshot()["fill"] == {"rows": 2, "served": 2, "served_ratio": 1.0}
+        assert service.snapshot()["fill"] == {"rows": 4, "served": 4, "served_ratio": 1.0}
+
+    @pytest.mark.parametrize("max_batch_size", [2, 3, 64])
+    def test_one_fill_per_update_sets_the_forward_count(self, setting, max_batch_size):
+        model, series, servable = setting
+        service = warm(model, series, max_batch_size=max_batch_size)
+        for tick in range(2):
+            replay(service, series, [WARM.stop + tick])
+            read, asked, rest = servable[:1], servable[1:4], servable[4:]
+            before = forwards(service)
+            service.predict_many(read, use_cache=False)  # read, not filled
+            assert forwards(service) - before == 1
+            before = forwards(service)
+            service.predict_many(asked)
+            unread = len(servable) - len(read) - len(asked)
+            assert forwards(service) - before == math.ceil((len(asked) + unread) / max_batch_size)
+            before = forwards(service)
+            service.predict_many(rest + read)
+            assert forwards(service) - before == 1  # only the window read uncached
+            assert service.snapshot()["counters"]["fills"] == tick + 1
+
+    @pytest.mark.parametrize("max_batch_size", [3, 64])
+    def test_fill_forecasts_are_bitwise_eager_on_their_padded_block(self, setting, max_batch_size):
+        model, series, servable = setting
+        service = warm(model, series, max_batch_size=max_batch_size)
+        served, batches = service.batcher._forward, []
+
+        def recording(*inputs):
+            batches.append([array.copy() for array in inputs])
+            return served(*inputs)
+
+        service.batcher._forward = recording
+        for tick in range(4):  # enough forwards for the tape to replay
+            replay(service, series, [WARM.stop + tick])
+            batches.clear()
+            asked, *others = servable
+            answers = [service.predict(asked), *service.predict_many(others)]
+            assert len(batches) == math.ceil(len(servable) / max_batch_size)
+            # The request first, then every other ready window in ascending id.
+            eager = np.concatenate([model.predictor.predict(*batch) for batch in batches])
+            expected = model.scalers.speed.inverse_transform(eager[: len(servable)])
+            assert [f.speed_kmh for f in answers] == expected.tolist()
+        assert service.snapshot()["forward"]["path"] == "replay"
 
     def test_fill_stays_inside_the_segment_range(self, served_model, tiny_series):
         service = warm(served_model, tiny_series, segment_range=(0, 4))

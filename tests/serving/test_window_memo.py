@@ -297,7 +297,7 @@ class TestFill:
             store.windows_many(rng.choice(everything, size=3).tolist())  # read before the fill
             candidates = store.ready_segments(0, series.num_segments)
             assert candidates.tolist() == [s for s in everything if store._readiness_error(s) is None]
-            _, chosen, _ = store.fill_windows(candidates, int(rng.integers(1, 8)))
+            chosen, _ = store.fill_windows(candidates[: int(rng.integers(1, 8))])
             filled += len(chosen)
             for served, expected in zip(store.windows_many(everything), fresh_windows(oracle)):
                 assert_same_window(served, expected)  # fingerprints included
@@ -311,11 +311,12 @@ class TestFill:
         first = store.window(3)
         candidates = store.ready_segments(0, tiny_series.num_segments)
         assert candidates.tolist() == [2, 3, 4, 5, 6]
-        used, chosen, block = store.fill_windows(candidates, 2)
-        assert (used, chosen.tolist(), len(block.flats)) == (3, [2, 4], 2)
-        used, chosen, block = store.fill_windows(candidates[used:], 5)
-        assert (used, chosen.tolist(), len(block.flats)) == (2, [5, 6], 2)
-        assert store.fill_windows(candidates, 5)[1].tolist() == []  # all read or filled
+        chosen, block = store.fill_windows(candidates[:3])
+        assert (chosen.tolist(), len(block.flats)) == ([2, 4], 2)
+        chosen, block = store.fill_windows(candidates)
+        assert (chosen.tolist(), len(block.flats)) == ([5, 6], 2)
+        chosen, block = store.fill_windows(candidates)
+        assert chosen.tolist() == [] and block is None  # all read or filled
         before = store.stats()
         assert before["windows_assembled"] == 5 and before["windows_memoised"] == 5
         views = store.windows_many([2, 3, 2])

@@ -7,9 +7,11 @@ Two checks, both against live replica processes:
    mixed ``predict_many`` batch bitwise-identically to the process-free
    ``shards=1`` fleet built from the same checkpoint and fed the same
    stream.  A sparse pass then makes cached 2-segment calls after one
-   more ingest: they must equal the ``shards=1`` fleet's uncached
-   answers bitwise, and every replica must have served some of them
-   from its padding fill (``fill_served`` above 0).
+   more ingest, fed as an ``ObservationBatch`` of columns: they must
+   equal the ``shards=1`` fleet's uncached answers bitwise, every
+   replica must have served some of them from its padding fill
+   (``fill_served`` above 0), and each replica must have run exactly
+   one fill in that one store update.
 2. **Crash degradation** — after ``kill_replica`` hard-exits one
    replica, the lost shard's segments must come back as degraded naive
    persistence (never an exception, never a hang), the surviving shard
@@ -34,7 +36,7 @@ from repro.core.config import ScalePreset
 from repro.data import FeatureConfig, TrafficDataset
 from repro.fleet import ForecastFleet
 from repro.obs import RunRecorder, validate_run_dir
-from repro.serving import Observation
+from repro.serving import Observation, ObservationBatch
 from repro.traffic import SimulationConfig, simulate
 
 SMOKE_PRESET = ScalePreset(
@@ -50,20 +52,24 @@ SMOKE_PRESET = ScalePreset(
 WARM_TICKS = 15
 
 
+def _tick(series, step: int) -> list[Observation]:
+    return [
+        Observation(
+            segment_id=segment,
+            step=step,
+            speed_kmh=float(series.speeds[segment, step]),
+            event=float(series.events[segment, step]),
+            temperature=float(series.temperature[step]),
+            precipitation=float(series.precipitation[step]),
+            day_type=tuple(series.day_types[step]),
+        )
+        for segment in range(series.num_segments)
+    ]
+
+
 def _replay(fleet, series, steps) -> None:
     for step in steps:
-        fleet.ingest_many(
-            Observation(
-                segment_id=segment,
-                step=step,
-                speed_kmh=float(series.speeds[segment, step]),
-                event=float(series.events[segment, step]),
-                temperature=float(series.temperature[step]),
-                precipitation=float(series.precipitation[step]),
-                day_type=tuple(series.day_types[step]),
-            )
-            for segment in range(series.num_segments)
-        )
+        fleet.ingest_many(_tick(series, step))
 
 
 def _make_checkpoint(series, directory: str) -> str:
@@ -90,11 +96,14 @@ def check_shard_parity(checkpoint: str, series) -> None:
         assert [f.segment_id for f in answers] == query, "request order not preserved"
         print(f"shard parity: OK ({len(query)} queries, shards 1 == 2, order preserved)")
 
-        # Sparse pass: after one ingest, cached 2-segment calls.  Each
-        # replica's first forward fills its spare rows with its other
-        # ready windows, and later calls are answered from those fills.
+        # Sparse pass: after one ingest, fed as columns, cached 2-segment
+        # calls.  Each replica's first forward of the update forecasts
+        # all its other ready windows, once, and later calls are
+        # answered from that fill.
+        before = _fills_and_updates(sharded)
+        tick = ObservationBatch.from_observations(_tick(series, WARM_TICKS))
         for fleet in (single, sharded):
-            _replay(fleet, series, [WARM_TICKS])
+            fleet.ingest_many(tick)
         calls = [[2, 6], [3, 5], [4, 8]]
         reference = [single.predict_many(call, use_cache=False) for call in calls]
         answers = [sharded.predict_many(call) for call in calls]
@@ -102,9 +111,25 @@ def check_shard_parity(checkpoint: str, series) -> None:
             "cached sparse calls on the 2-shard fleet diverged from uncached shards=1:\n"
             f"  shards=1: {reference}\n  shards=2: {answers}"
         )
-        served = [replica["fill"]["served"] for replica in sharded.snapshot()["replicas"]]
+        replicas = sharded.snapshot()["replicas"]
+        served = [replica["fill"]["served"] for replica in replicas]
         assert all(count > 0 for count in served), f"replicas served nothing from fills: {served}"
-    print(f"sparse parity: OK ({len(calls)} cached calls == uncached shards=1, fill_served {served})")
+        after = _fills_and_updates(sharded)
+        assert all(a[0] - b[0] == a[1] - b[1] == 1 for a, b in zip(after, before)), (
+            f"expected one fill per replica in the one update, (fills, updates) went {before} -> {after}"
+        )
+    print(
+        f"sparse parity: OK ({len(calls)} cached calls == uncached shards=1, "
+        f"one fill per replica per update, fill_served {served})"
+    )
+
+
+def _fills_and_updates(fleet) -> list[tuple[int, int]]:
+    """Per replica, (fill passes run, store updates) so far."""
+    return [
+        (replica["counters"].get("fills", 0), replica["windows"]["updates"])
+        for replica in fleet.snapshot()["replicas"]
+    ]
 
 
 def check_crash_degradation(checkpoint: str, series) -> None:
