@@ -201,6 +201,7 @@ class APOTSTrainer:
         return total.item(), mse_loss.item(), adv_loss.item(), grad_norm, fake_std
 
     # ------------------------------------------------------------------
+    @nn.reuse_arrays()  # the kernels reuse their large arrays across steps
     def fit(
         self,
         dataset: TrafficDataset,

@@ -95,6 +95,7 @@ class SupervisedTrainer:
                 return
             yield dataset.batch(indices)
 
+    @nn.reuse_arrays()  # the kernels reuse their large arrays across steps
     def fit(
         self,
         dataset: TrafficDataset,

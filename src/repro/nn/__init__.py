@@ -23,6 +23,7 @@ from .layers import (
 from .losses import BCEWithLogitsLoss, MSELoss
 from .module import Module, Parameter, load_state, save_state
 from .optim import Adam, clip_grad_norm
+from .pool import reuse_arrays
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "save_state",
     "Adam",
     "clip_grad_norm",
+    "reuse_arrays",
     "Tensor",
     "as_tensor",
     "is_grad_enabled",

@@ -84,8 +84,8 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 # the eager forward.  Derived arrays the forward itself reads (a relu
 # mask, a leaky-relu scale, a conv patch matrix) are recorded buffers
 # reused as scratch.  A replay has no backward, so the abs, clip and
-# maximum rules skip the masks only a backward reads; the fused LSTM
-# kernel still fills its BPTT caches, which it writes as it goes.
+# maximum rules skip the masks only a backward reads, and the fused LSTM
+# kernel runs without its BPTT caches.
 # ---------------------------------------------------------------------------
 
 _RULES: dict[str, Callable] = {}
@@ -317,12 +317,12 @@ def _rule_conv2d(out, parents, meta):
 def _rule_lstm_fused(out, parents, meta):
     x, w_ih, w_hh, b = (p.data for p in parents)
     o = out.data
-    gates_x = meta["gates_x"]
-    caches = meta["caches"]  # BPTT caches: written, never read, on replay
+    gates_x = meta["gates_x"]  # time-major input projection scratch
     h0, c0 = meta["h0"], meta["c0"]  # record-time initial state values
 
     def run():
-        _lstm_forward_kernel(x, w_ih, w_hh, b, h0, c0, gates_x, o, caches)
+        # No caches: nothing reads BPTT state on replay.
+        _lstm_forward_kernel(x, w_ih, w_hh, b, h0, c0, gates_x, o)
 
     return run
 
@@ -475,7 +475,9 @@ class CompiledTape:
         records: Sequence[tuple[Tensor, tuple, str, dict | None]],
     ):
         self.inputs = list(inputs)
-        self.outputs = tuple(outputs)
+        # Values only: the recorded graph's backward closures hold state
+        # (the fused LSTM's BPTT caches) that no replay reads.
+        self.outputs = tuple(output.detach() for output in outputs)
         self._input_buffers = [t.data for t in self.inputs]
         # An input whose memory no recorded array shares (e.g. the images
         # of a model that only reads the flat features) cannot change an

@@ -9,6 +9,22 @@ count to one per layer.  The whole gate chain (two matmuls, three
 sigmoids, two tanhs and the cell update) lives in one kernel — this is
 the "fused LSTM-gate chain" the compiled replay path reuses verbatim.
 
+Layout: the kernel works time-major.  The input projection of all T
+steps is one 2-D gemm over the (T*B, I) rows into a (T, B, 4H) buffer;
+step t adds its recurrent product to block t and writes the gate
+activations back over that block as four contiguous (B, H) slabs
+``i, f, g, o``, which BPTT reads together with the (T, B, H) ``tanh(c)``
+and the (T + 1, B, H) hidden and cell states.  Every step writes into
+preallocated buffers with ``out=`` and keeps the floating-point
+operations, and their order, of the step-by-step cell, so the outputs
+and gradients are bitwise those of the original batch-major kernel
+(``tests/nn/test_kernel_oracles.py``).  The input gradient is returned
+time-major too, as a (B, T, I) view.  Inside
+:func:`repro.nn.reuse_arrays` the buffers the graph keeps (the gate
+buffer, ``tanh(c)``, the states and the output) come from the
+step loop's free list; the served replay runs the same kernel with
+``caches=None``, two ping-pong state slots instead of the BPTT caches.
+
 Semantics: gradients flow through the returned *output sequence* only.
 The final (h, c) values are returned as plain arrays for state
 threading; callers needing gradients through the final hidden state
@@ -28,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit as _sigmoid
 
+from . import pool
 from .tensor import Tensor
 
 __all__ = ["lstm_layer_forward"]
@@ -56,52 +73,63 @@ def _lstm_forward_kernel(
     w_ih: np.ndarray,
     w_hh: np.ndarray,
     b: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
+    h0: np.ndarray,
+    c0: np.ndarray,
     gates_x: np.ndarray,
     outputs: np.ndarray,
-    caches: dict[str, np.ndarray],
+    caches: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the gate chain, filling ``outputs`` / ``caches`` in place.
+    """Run the gate chain, filling ``gates_x``, ``outputs`` and ``caches`` in place.
 
-    Shared by the eager op (fresh buffers) and the compiled replay path
-    (record-time buffers) so both produce bit-identical activations.
-    The caches are time-major, (T, B, H), so each step writes (and BPTT
-    reads) one contiguous block.  ``h`` / ``c`` are read, never written.
-    Returns the final state.
+    Shared by the eager op and the compiled replay, so both produce
+    bit-identical activations.  ``gates_x`` is time-major, (T, B, 4H):
+    it receives the input projection of every step, and step ``t``, once
+    it has read its block, refills that block with its gate activations
+    as four contiguous (B, H) slabs ``i, f, g, o``, which BPTT reads.
+    ``caches`` is ``(tanh_c, states)``: the (T, B, H)
+    ``tanh(c)`` of every step and the (2, T + 1, B, H) hidden and cell
+    states, step 0 the initial state.  With ``caches=None`` (the replay,
+    which has no backward) the states ping-pong between two (B, H)
+    slots and ``tanh(c)`` uses one.  ``h0`` / ``c0`` are read, never
+    written.  Returns the final state.
     """
-    steps = x_data.shape[1]
-    hidden = w_hh.shape[1]
-    # Input contribution for every step at once: (B, T, 4H).
-    np.matmul(x_data, w_ih.T, out=gates_x)
+    steps, batch, _ = gates_x.shape
+    hidden, inputs = w_hh.shape[1], w_ih.shape[1]
+    # Input contribution for every step in one gemm over the (T*B, I) rows.
+    x_rows = np.ascontiguousarray(x_data.transpose(1, 0, 2)).reshape(steps * batch, inputs)
+    np.matmul(x_rows, w_ih.T, out=gates_x.reshape(steps * batch, 4 * hidden))
     gates_x += b
-    i_cache = caches["i"]
-    f_cache = caches["f"]
-    g_cache = caches["g"]
-    o_cache = caches["o"]
-    c_prev_cache = caches["c_prev"]
-    tanh_c_cache = caches["tanh_c"]
-    h_prev_cache = caches["h_prev"]
+    if caches is None:
+        caches = (np.empty((1, batch, hidden)), np.empty((2, 2, batch, hidden)))
+    tanh_c_cache, (h_states, c_states) = caches
+    h_states[0] = h0
+    c_states[0] = c0
+    cell_slots = tanh_c_cache.shape[0]
+    state_slots = h_states.shape[0]
+    gates = np.empty((batch, 4 * hidden))
+    i_in, f_in, g_in, o_in = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    w_hh_t = w_hh.T
 
     for t in range(steps):
-        gates = gates_x[:, t, :] + h @ w_hh.T
-        i_gate = _sigmoid(gates[:, 0 * hidden : 1 * hidden])
-        f_gate = _sigmoid(gates[:, 1 * hidden : 2 * hidden])
-        g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        o_gate = _sigmoid(gates[:, 3 * hidden : 4 * hidden])
-        c_prev_cache[t] = c
-        h_prev_cache[t] = h
-        c = f_gate * c + i_gate * g_gate
-        tanh_c = np.tanh(c)
-        h = o_gate * tanh_c
-        outputs[:, t] = h
-        i_cache[t] = i_gate
-        f_cache[t] = f_gate
-        g_cache[t] = g_gate
-        o_cache[t] = o_gate
-        tanh_c_cache[t] = tanh_c
+        h, c = h_states[t % state_slots], c_states[t % state_slots]
+        h_next, c_next = h_states[(t + 1) % state_slots], c_states[(t + 1) % state_slots]
+        tanh_c = tanh_c_cache[t % cell_slots]
+        np.matmul(h, w_hh_t, out=gates)
+        np.add(gates_x[t], gates, out=gates)
+        i_gate, f_gate, g_gate, o_gate = gates_x[t].reshape(4, batch, hidden)
+        _sigmoid(i_in, out=i_gate)
+        _sigmoid(f_in, out=f_gate)
+        np.tanh(g_in, out=g_gate)
+        _sigmoid(o_in, out=o_gate)
+        # c' = f * c + i * g, with i * g parked in the tanh(c') slot.
+        np.multiply(f_gate, c, out=c_next)
+        np.multiply(i_gate, g_gate, out=tanh_c)
+        np.add(c_next, tanh_c, out=c_next)
+        np.tanh(c_next, out=tanh_c)
+        np.multiply(o_gate, tanh_c, out=h_next)
+        outputs[:, t] = h_next
 
-    return h.copy(), c.copy()
+    return h_states[steps % state_slots].copy(), c_states[steps % state_slots].copy()
 
 
 def lstm_layer_forward(
@@ -137,7 +165,7 @@ def lstm_layer_forward(
     x_data = x.data
     if x_data.ndim != 3:
         raise ValueError(f"expected (batch, time, features) input, got shape {x_data.shape}")
-    batch, steps, _ = x_data.shape
+    batch, steps, inputs = x_data.shape
     hidden = weight_hh.data.shape[1]
     if weight_ih.data.shape[0] != 4 * hidden or bias.data.shape[0] != 4 * hidden:
         raise ValueError("gate parameter shapes are inconsistent")
@@ -149,61 +177,74 @@ def lstm_layer_forward(
     h = _as_state_array(h0, batch, hidden, "h0")
     c = _as_state_array(c0, batch, hidden, "c0")
 
-    gates_x = np.empty((batch, steps, 4 * hidden), dtype=np.float64)
-    outputs = np.empty((batch, steps, hidden), dtype=np.float64)
-    # Time-major caches for backward (refreshed in place on compiled replay).
-    caches = {
-        name: np.empty((steps, batch, hidden), dtype=np.float64)
-        for name in ("i", "f", "g", "o", "c_prev", "tanh_c", "h_prev")
-    }
-
+    gates_x = pool.empty((steps, batch, 4 * hidden))
+    outputs = pool.empty((batch, steps, hidden))
+    tanh_c_cache = pool.empty((steps, batch, hidden))
+    states = pool.empty((2, steps + 1, batch, hidden))
     h_final, c_final = _lstm_forward_kernel(
-        x_data, w_ih, w_hh, b, h, c, gates_x, outputs, caches
+        x_data, w_ih, w_hh, b, h, c, gates_x, outputs, (tanh_c_cache, states)
     )
-    i_cache = caches["i"]
-    f_cache = caches["f"]
-    g_cache = caches["g"]
-    o_cache = caches["o"]
-    c_prev_cache = caches["c_prev"]
-    tanh_c_cache = caches["tanh_c"]
-    h_prev_cache = caches["h_prev"]
 
     def backward(grad_out: np.ndarray):
-        """BPTT over the cached gate activations."""
-        grad_x = np.zeros_like(x_data, dtype=np.float64)
+        """BPTT over the cached gate activations, every temporary preallocated."""
+        h_states, c_states = states
+        # Time-major, so each step's input gradient is one contiguous gemm output.
+        grad_x = np.empty((steps, batch, inputs)) if x.requires_grad else None
         grad_w_ih = np.zeros_like(w_ih, dtype=np.float64)
         grad_w_hh = np.zeros_like(w_hh, dtype=np.float64)
         grad_b = np.zeros_like(b, dtype=np.float64)
+        step_w_ih = np.empty_like(grad_w_ih)
+        step_w_hh = np.empty_like(grad_w_hh)
+        step_b = np.empty_like(grad_b)
         dh_next = np.zeros((batch, hidden), dtype=np.float64)
         dc_next = np.zeros((batch, hidden), dtype=np.float64)
+        dh, dc, term, scratch = np.empty((4, batch, hidden))
         dgates = np.empty((batch, 4 * hidden), dtype=np.float64)
+        d_i, d_f, d_g, d_o = (dgates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        dgates_t = dgates.T
 
         for t in range(steps - 1, -1, -1):
-            i_gate = i_cache[t]
-            f_gate = f_cache[t]
-            g_gate = g_cache[t]
-            o_gate = o_cache[t]
+            i_gate, f_gate, g_gate, o_gate = gates_x[t].reshape(4, batch, hidden)
             tanh_c = tanh_c_cache[t]
 
-            dh = grad_out[:, t] + dh_next
-            do = dh * tanh_c
-            dc = dc_next + dh * o_gate * (1.0 - tanh_c * tanh_c)
-            di = dc * g_gate
-            df = dc * c_prev_cache[t]
-            dg = dc * i_gate
-            dc_next = dc * f_gate
+            np.add(grad_out[:, t], dh_next, out=dh)
+            # dc = dc_next + dh * o * (1 - tanh_c * tanh_c)
+            np.multiply(dh, o_gate, out=term)
+            np.multiply(tanh_c, tanh_c, out=dc)
+            np.subtract(1.0, dc, out=dc)
+            np.multiply(term, dc, out=dc)
+            np.add(dc_next, dc, out=dc)
+            # d_i = dc * g * i * (1 - i)
+            np.multiply(dc, g_gate, out=term)
+            np.multiply(term, i_gate, out=term)
+            np.subtract(1.0, i_gate, out=scratch)
+            np.multiply(term, scratch, out=d_i)
+            # d_f = dc * c_prev * f * (1 - f)
+            np.multiply(dc, c_states[t], out=term)
+            np.multiply(term, f_gate, out=term)
+            np.subtract(1.0, f_gate, out=scratch)
+            np.multiply(term, scratch, out=d_f)
+            # d_g = dc * i * (1 - g * g)
+            np.multiply(dc, i_gate, out=term)
+            np.multiply(g_gate, g_gate, out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            np.multiply(term, scratch, out=d_g)
+            # d_o = dh * tanh_c * o * (1 - o)
+            np.multiply(dh, tanh_c, out=term)
+            np.multiply(term, o_gate, out=term)
+            np.subtract(1.0, o_gate, out=scratch)
+            np.multiply(term, scratch, out=d_o)
+            np.multiply(dc, f_gate, out=dc_next)
 
-            dgates[:, 0 * hidden : 1 * hidden] = di * i_gate * (1.0 - i_gate)
-            dgates[:, 1 * hidden : 2 * hidden] = df * f_gate * (1.0 - f_gate)
-            dgates[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g_gate * g_gate)
-            dgates[:, 3 * hidden : 4 * hidden] = do * o_gate * (1.0 - o_gate)
+            if grad_x is not None:
+                np.matmul(dgates, w_ih, out=grad_x[t])
+            np.matmul(dgates, w_hh, out=dh_next)
+            grad_w_ih += np.matmul(dgates_t, x_data[:, t], out=step_w_ih)
+            grad_w_hh += np.matmul(dgates_t, h_states[t], out=step_w_hh)
+            grad_b += np.sum(dgates, axis=0, out=step_b)
 
-            grad_x[:, t] = dgates @ w_ih
-            dh_next = dgates @ w_hh
-            grad_w_ih += dgates.T @ x_data[:, t]
-            grad_w_hh += dgates.T @ h_prev_cache[t]
-            grad_b += dgates.sum(axis=0)
-
+        if grad_x is not None:
+            grad_x = grad_x.transpose(1, 0, 2)
         return grad_x, grad_w_ih, grad_w_hh, grad_b
 
     out = Tensor._make(
@@ -211,6 +252,6 @@ def lstm_layer_forward(
         (x, weight_ih, weight_hh, bias),
         backward,
         "lstm_fused",
-        {"gates_x": gates_x, "caches": caches, "h0": h.copy(), "c0": c.copy()},
+        {"gates_x": gates_x, "h0": h.copy(), "c0": c.copy()},
     )
     return out, h_final, c_final

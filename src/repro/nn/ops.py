@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pool
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -63,6 +64,10 @@ def pad2d(x: Tensor, padding: int | tuple[int, int]) -> Tensor:
     if ph == 0 and pw == 0:
         return x
     pads = [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)]
+    h, w = x.shape[-2:]
+    padded = pool.empty(x.shape[:-2] + (h + 2 * ph, w + 2 * pw))
+    padded.fill(0.0)
+    padded[..., ph : ph + h, pw : pw + w] = x.data
 
     def backward(grad):
         slicer = tuple(
@@ -70,12 +75,16 @@ def pad2d(x: Tensor, padding: int | tuple[int, int]) -> Tensor:
         )
         return (grad[slicer],)
 
-    return Tensor._make(np.pad(x.data, pads), (x,), backward, "pad2d", {"pads": pads})
+    return Tensor._make(padded, (x,), backward, "pad2d", {"pads": pads})
 
 
 # ---------------------------------------------------------------------------
 # im2col / col2im machinery
 # ---------------------------------------------------------------------------
+#: Patch-gradient bytes ``col2im`` folds per block of images: each of the
+#: kh*kw slab adds re-reads the block, which then stays in cache.
+_FOLD_BLOCK_BYTES = 1 << 20
+
 def _patches(
     x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
 ) -> tuple[np.ndarray, int, int]:
@@ -103,18 +112,28 @@ def col2im(
     kernel: tuple[int, int],
     stride: tuple[int, int],
 ) -> np.ndarray:
-    """Fold (N, C*kh*kw, out_h*out_w) patch gradients back into an image gradient."""
+    """Fold (N, C*kh*kw, out_h*out_w) patch gradients back into an image gradient.
+
+    The sum runs channels-last, into an (N, H, W, C) buffer returned as its
+    (N, C, H, W) view, over blocks of images whose patch gradients fit in
+    cache: each image element still adds its patch terms in the same
+    ``i, j`` order, so the values are those of an NCHW fold.
+    """
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
     out_h = (h - kh) // sh + 1
     out_w = (w - kw) // sw + 1
-    grad_x = np.zeros(x_shape, dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            grad_x[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += cols[:, :, i, j]
-    return grad_x
+    grad_x = np.zeros((n, h, w, c))
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w).transpose(0, 4, 5, 1, 2, 3)
+    block = max(1, _FOLD_BLOCK_BYTES // max(1, grad_x.itemsize * c * kh * kw * out_h * out_w))
+    for start in range(0, n, block):
+        grad_block, cols_block = grad_x[start : start + block], cols[start : start + block]
+        for i in range(kh):
+            for j in range(kw):
+                rows = slice(i, i + sh * out_h, sh)
+                grad_block[:, rows, j : j + sw * out_w : sw] += cols_block[..., i, j]
+    return grad_x.transpose(0, 3, 1, 2)
 
 
 def _conv2d_forward(
@@ -137,15 +156,16 @@ def _conv2d_forward(
     k_dim = c_in * kh * kw
     length = out_h * out_w
     if cols_flat is None:
-        cols_flat = np.empty((n * length, k_dim), dtype=x_data.dtype)
+        cols_flat = pool.empty((n * length, k_dim))
     # (N*L, K) @ (K, C_out) keeps everything in BLAS; the patch view is
     # gathered into that operand's row-major layout in one strided copy.
     np.copyto(
         cols_flat.reshape(n, out_h, out_w, c_in, kh, kw), patches.transpose(0, 4, 5, 1, 2, 3)
     )
     w_mat = w_data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    out = (cols_flat @ w_mat.T).reshape(n, length, c_out).transpose(0, 2, 1)
-    out = np.ascontiguousarray(out).reshape(n, c_out, out_h, out_w)
+    product = (cols_flat @ w_mat.T).reshape(n, length, c_out)
+    out = pool.empty((n, c_out, out_h, out_w))
+    np.copyto(out.reshape(n, c_out, length), product.transpose(0, 2, 1))
     if bias_data is not None:
         out += bias_data.reshape(1, c_out, 1, 1)
     return out, cols_flat, w_mat, (k_dim, length, out_h, out_w)

@@ -9,6 +9,8 @@ output or gradient, because the trained ``model_fingerprint`` pins
 depend on both.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.special import expit as _sigmoid
@@ -265,3 +267,87 @@ def test_fused_lstm_matches_oracle(seed, explicit_state):
     assert_bitwise(c_final, want_c)
     for tensor, expected in zip([xt, *params], want_grads):
         assert_bitwise(tensor.grad, expected)
+
+
+# ---------------------------------------------------------------------------
+# The shapes one step of the e2e APOTS_H fit runs (32 anchors x alpha 12 =
+# 384 rows of a 9 x 12 image, smoke widths), inside and outside the scope
+# in which training reuses the kernels' arrays: the second pass in a scope
+# runs on reused arrays.
+# ---------------------------------------------------------------------------
+PRODUCTION_ROWS = 384
+
+
+@contextlib.contextmanager
+def _maybe_reusing(scoped):
+    with nn.reuse_arrays() if scoped else contextlib.nullcontext():
+        yield
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+@pytest.mark.parametrize(
+    "inputs,contiguous",
+    [(36, False), (32, True)],
+    ids=["first-layer-36", "second-layer-32"],
+)
+def test_fused_lstm_matches_oracle_at_production_shape(inputs, contiguous, scoped):
+    rng = np.random.default_rng(inputs)
+    batch, steps, hidden = PRODUCTION_ROWS, 12, 32
+    if contiguous:
+        x = rng.normal(size=(batch, steps, inputs))
+    else:
+        # The H predictor's LSTM input: a (B, C*rows, T) conv map viewed as (B, T, I).
+        x = rng.normal(size=(batch, inputs, steps)).transpose(0, 2, 1)
+        assert not x.flags.c_contiguous
+    w_ih = rng.normal(size=(4 * hidden, inputs)) * 0.3
+    w_hh = rng.normal(size=(4 * hidden, hidden)) * 0.3
+    b = rng.normal(size=4 * hidden) * 0.1
+    zeros = np.zeros((batch, hidden))
+    want_out, want_h, want_c, caches = oracle_lstm_forward(x, w_ih, w_hh, b, zeros, zeros)
+
+    with _maybe_reusing(scoped):
+        for _ in range(2):
+            grad = rng.normal(size=(batch, steps, hidden))
+            xt = nn.Tensor(x, requires_grad=True)
+            params = [nn.Tensor(p, requires_grad=True) for p in (w_ih, w_hh, b)]
+            out, h_final, c_final = lstm_layer_forward(xt, *params)
+            out.backward(grad)
+            assert_bitwise(out.data, want_out)
+            assert_bitwise(h_final, want_h)
+            assert_bitwise(c_final, want_c)
+            want_grads = oracle_lstm_backward(grad, x, w_ih, w_hh, b, caches)
+            for tensor, expected in zip([xt, *params], want_grads):
+                assert_bitwise(tensor.grad, expected)
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+@pytest.mark.parametrize(
+    "c_in,c_out,kernel,padding",
+    [(1, 8, 3, 1), (8, 4, 1, 0), (4, 4, 3, 1)],
+    ids=["1to8-3x3", "8to4-1x1", "4to4-3x3"],
+)
+def test_conv2d_matches_oracle_at_production_shape(c_in, c_out, kernel, padding, scoped):
+    rng = np.random.default_rng(10 * c_in + c_out)
+    x = rng.normal(size=(PRODUCTION_ROWS, c_in, 9, 12))
+    weight = rng.normal(size=(c_out, c_in, kernel, kernel))
+    b = rng.normal(size=c_out)
+    x_padded = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+    want_out, cols_flat, w_mat, (k_dim, length, _, _) = oracle_conv2d_forward(
+        x_padded, weight, b, (1, 1)
+    )
+
+    with _maybe_reusing(scoped):
+        for _ in range(2):
+            grad = rng.normal(size=want_out.shape)
+            xt = nn.Tensor(x, requires_grad=True)
+            wt = nn.Tensor(weight, requires_grad=True)
+            bt = nn.Tensor(b, requires_grad=True)
+            out = ops.conv2d(xt, wt, bt, padding=padding)
+            out.backward(grad)
+            want_grads = oracle_conv2d_backward(
+                grad, x_padded, weight, cols_flat, w_mat, k_dim, length, (1, 1), True
+            )
+            assert_bitwise(out.data, want_out)
+            assert_bitwise(xt.grad, want_grads[0][:, :, padding : padding + 9, padding : padding + 12])
+            assert_bitwise(wt.grad, want_grads[1])
+            assert_bitwise(bt.grad, want_grads[2])

@@ -176,7 +176,7 @@ class TestTapeLifetime:
 
 
 class TestTapeBytes:
-    def test_tape_bytes_count_the_fused_lstm_caches(self, hybrid_model, tiny_series, monkeypatch):
+    def test_tape_bytes_leave_out_the_fused_lstm_caches(self, hybrid_model, tiny_series, monkeypatch):
         from repro.nn import compile as compiled
 
         build = compiled.CompiledTape.__init__
@@ -189,25 +189,20 @@ class TestTapeBytes:
         service = ForecastService(hybrid_model, tiny_series.num_segments, max_batch_size=8)
         warm(service, tiny_series)
         tape = current_tape(service)
-        caches = [
-            array
-            for _, _, op, meta in tape.records
-            if op == "lstm_fused"
-            for array in meta["caches"].values()
-        ]
-        assert len(caches) == 7 * 2  # seven BPTT caches per LSTM layer
-        cache_bytes = sum(array.nbytes for array in caches)
-
-        def flat_meta_arrays(records):  # the count before nested meta was read
-            for node, _, _, meta in records:
-                yield node.data
-                for value in (meta or {}).values():
-                    values = value if isinstance(value, (list, tuple)) else (value,)
-                    yield from (v for v in values if isinstance(v, np.ndarray))
-
-        monkeypatch.setattr(compiled, "_record_arrays", flat_meta_arrays)
-        assert tape.nbytes == tape._retained_nbytes(tape.records) + cache_bytes
+        lstm = [(node, meta) for node, _, op, meta in tape.records if op == "lstm_fused"]
+        assert len(lstm) == 2
+        for node, meta in lstm:
+            # The replay keeps the time-major gate buffer and the initial
+            # state: no BPTT cache, which only a backward would read.
+            batch, steps, hidden = node.data.shape
+            assert set(meta) == {"gates_x", "h0", "c0"}
+            assert meta["gates_x"].shape == (steps, batch, 4 * hidden)
+        # Nor do its outputs keep the recorded graph, whose backward
+        # closures hold those caches.
+        assert all(out._backward is None and not out._parents for out in tape.outputs)
+        assert tape.nbytes == tape._retained_nbytes(tape.records)
         assert service.snapshot()["forward"]["tape_nbytes"] == tape.nbytes
+        assert service.snapshot()["forward"]["path"] == "replay"
 
 
 class _BakedConstant(nn.Module):
