@@ -18,11 +18,26 @@ across replicas whose padded micro-batches are already pinned
 batch/single-equivalent, and halo ingestion keeps every owned window's
 neighbour rows complete at shard boundaries.
 
+Steady calls are answered in the parent.  The replica call that runs a
+store update's fill returns the update's forecast table
+(:class:`repro.serving.service.ForecastTable`); the parent keeps one per
+shard and answers a cached call at horizon ``beta`` from it whenever it
+holds every read of the shard-batch: a segment's first read
+``from_cache=False``, later ones ``True``, exactly as the replica would.
+It sends the reads it answered to the shard ahead of its next message,
+and the replica replays them (:meth:`ShardReplica.replay`) so its cache,
+fill and counters end up as if it had served them.  A table goes with
+any message that can update its shard's store (ingest, reset, swap),
+with the shard's loss, and once the replica's cache TTL has run from
+the call that brought it.
+
 Failure and overload policy — *shed to naive persistence, never drop
 silently*:
 
-* a replica that dies mid-call is detected on the next pipe round trip,
-  marked lost (``fleet_shard_lost`` event), and every subsequent
+* a replica that dies is detected on the next call that reads its
+  shard (by the pipe round trip, or a liveness check when the parent
+  answers from the shard's table), marked lost (``fleet_shard_lost``
+  event), and every subsequent
   request for its segments is answered with degraded naive persistence
   from the parent's own last-speed bookkeeping while the other shards
   keep serving at full quality;
@@ -48,7 +63,7 @@ from ..core.zoo import load_model, model_fingerprint
 from ..obs.telemetry import Telemetry
 from ..parallel.group import WorkerGroup, WorkerGroupError
 from ..serving.errors import IncompleteWindowError, ServingError
-from ..serving.service import Forecast, ForecastService
+from ..serving.service import Forecast, ForecastService, ForecastTable
 from ..serving.state import Observation, ObservationBatch, check_batch
 from .admission import AdmissionController
 from .errors import FleetClosedError, FleetError
@@ -83,6 +98,55 @@ class FleetRequest:
     @property
     def shed(self) -> bool:
         return self.shed_reason is not None
+
+
+#: Replica methods that can update the shard's store; each drops the
+#: shard's forecast table in the parent.
+_STORE_UPDATES = frozenset({"ingest_batch", "reset_segment", "swap_checkpoint"})
+
+
+class _ShardTable:
+    """One shard's :class:`ForecastTable` in the parent, read a row at a time."""
+
+    __slots__ = ("index", "kmh", "targets", "cached", "fingerprint", "expires")
+
+    def __init__(self, table: ForecastTable, beta: int, expires: float):
+        self.index = dict(zip(table.segment_ids.tolist(), range(len(table.segment_ids))))
+        self.kmh = table.speeds_kmh.tolist()
+        self.targets = (table.end_steps + beta).tolist()
+        self.cached = table.cached.tolist()
+        self.fingerprint = table.model_fingerprint
+        self.expires = expires  # the replica's cache TTL, from before the call that brought it
+
+    def holds(self, segments: list[int]) -> bool:
+        index = self.index
+        return all(segment in index for segment in segments)
+
+    def read(self, segments: list[int], horizon: int) -> list[Forecast]:
+        """The forecasts the replica would return for these cached reads, in order."""
+        forecasts = []
+        for segment in segments:
+            row = self.index[segment]
+            forecasts.append(
+                Forecast(
+                    segment_id=segment,
+                    target_step=self.targets[row],
+                    horizon_steps=horizon,
+                    speed_kmh=self.kmh[row],
+                    source="model",
+                    from_cache=self.cached[row],
+                    model_fingerprint=self.fingerprint,
+                )
+            )
+            self.cached[row] = True
+        return forecasts
+
+    def mark_cached(self, segments: list[int]) -> None:
+        """The replica served these cached reads itself: each is in its cache now."""
+        for segment in segments:
+            row = self.index.get(segment)
+            if row is not None:
+                self.cached[row] = True
 
 
 class ForecastFleet:
@@ -158,6 +222,14 @@ class ForecastFleet:
         self._clock = clock
         self._closed = False
         self._lost: dict[int, str] = {}
+        self._beta = self.features.beta
+        self._table_ttl = cache_ttl_seconds
+        # Per shard: the forecast table answering its cached reads here,
+        # the reads answered from it that the replica has not been sent,
+        # and how many replay calls it was sent that are not answered yet.
+        self._tables: dict[int, _ShardTable] = {}
+        self._replays: dict[int, list[int]] = {}
+        self._replaying: dict[int, int] = {}
         # Parent-side naive-persistence bookkeeping: shed answers must
         # not depend on any replica being alive.
         self._last_speed = np.full(num_segments, np.nan, dtype=np.float64)
@@ -199,6 +271,10 @@ class ForecastFleet:
                 for group in self._groups:
                     group.close()
                 raise
+            blas = self._scatter_call({shard: ("blas", ()) for shard in range(shards)})
+            unpinned = {state["library"] for state in blas.values() if state and state["threads"] is None}
+            for library in sorted(unpinned):
+                self._emit("blas_threads_unpinned", library=library)
 
     # ------------------------------------------------------------------
     @property
@@ -229,21 +305,46 @@ class ForecastFleet:
             return
         reason = str(error).splitlines()[0]
         self._lost[shard] = reason
+        self._tables.pop(shard, None)
+        self._replays.pop(shard, None)
+        self._replaying.pop(shard, None)
         self.telemetry.counter("shards_lost").inc()
         self._emit("fleet_shard_lost", shard=shard, method=method, reason=reason)
+
+    def _send_replays(self, shards: Iterable[int]) -> None:
+        """Send each shard the reads answered from its table, as a pipelined ``replay`` call.
+
+        Its reply is collected ahead of the shard's next reply (see
+        :meth:`_scatter_call`), so the replica takes the reads before the
+        next message whenever they were sent.
+        """
+        for shard in shards:
+            replay = self._replays.pop(shard, None)
+            if not replay or shard in self._lost:
+                continue
+            try:
+                self._groups[shard].start_call(0, "replay", (replay,))
+            except WorkerGroupError as error:
+                self._mark_lost(shard, "replay", error)
+            else:
+                self._replaying[shard] = self._replaying.get(shard, 0) + 1
 
     def _scatter_call(self, calls: dict[int, tuple[str, tuple]]) -> dict[int, Any]:
         """Start every shard's call before gathering any reply.
 
-        Returns shard → result, with ``None`` for shards that were (or
-        became) lost; the caller sheds those.
+        A shard's reads answered from its table go first (see
+        :meth:`_send_replays`).  Returns shard → result, with ``None``
+        for shards that were (or became) lost; the caller sheds those.
         """
+        self._send_replays(calls)
         results: dict[int, Any] = {}
         started: list[int] = []
         for shard, (method, args) in calls.items():
             if shard in self._lost:
                 results[shard] = None
                 continue
+            if method in _STORE_UPDATES:
+                self._tables.pop(shard, None)
             try:
                 self._groups[shard].start_call(0, method, args)
             except WorkerGroupError as error:
@@ -253,12 +354,65 @@ class ForecastFleet:
                 started.append(shard)
         for shard in started:
             method = calls[shard][0]
+            group = self._groups[shard]
             try:
-                results[shard] = self._groups[shard].finish_call(0)
+                for _ in range(self._replaying.pop(shard, 0)):
+                    group.finish_call(0)
+                results[shard] = group.finish_call(0)
             except WorkerGroupError as error:
                 self._mark_lost(shard, method, error)
                 results[shard] = None
         return results
+
+    def _alive(self, shard: int) -> bool:
+        """Whether the shard's replica process lives; marks it lost if not."""
+        group = self._groups[shard]
+        if group.alive()[0]:
+            return True
+        self._mark_lost(shard, "predict_batch", WorkerGroupError("replica process is not alive"))
+        group.close()
+        return False
+
+    def _answer(
+        self, batches: dict[int, list[int]], horizon: int, use_cache: bool
+    ) -> dict[int, list[Forecast] | None]:
+        """Each shard's forecasts for its batch of owned segments, ``None`` if the shard is lost.
+
+        A cached batch at ``beta`` whose every read is in the shard's
+        table is answered here, after a liveness check; the rest go to
+        the replicas in one scatter/gather.  The one answer path of
+        :meth:`predict_many` and :meth:`drain`.
+        """
+        answers: dict[int, list[Forecast] | None] = {}
+        calls: dict[int, tuple[str, tuple]] = {}
+        tabled = use_cache and horizon == self._beta
+        for shard, segments in batches.items():
+            table = self._tables.get(shard) if tabled else None
+            if table is not None and time.monotonic() >= table.expires:
+                del self._tables[shard]
+                table = None
+            if table is not None and table.holds(segments):
+                if self._alive(shard):
+                    answers[shard] = table.read(segments, horizon)
+                    self._replays.setdefault(shard, []).extend(segments)
+                    self.telemetry.counter("answered_in_parent").inc(len(segments))
+                else:
+                    answers[shard] = None
+                continue
+            calls[shard] = ("predict_batch", (segments, horizon, use_cache))
+        if not calls:
+            return answers
+        sent = time.monotonic()
+        for shard, reply in self._scatter_call(calls).items():
+            if reply is None:
+                answers[shard] = None
+                continue
+            answers[shard], fresh = reply
+            if fresh is not None:
+                self._tables[shard] = _ShardTable(fresh, self._beta, sent + self._table_ttl)
+            elif tabled and shard in self._tables:
+                self._tables[shard].mark_cached(calls[shard][1][0])
+        return answers
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -278,6 +432,8 @@ class ForecastFleet:
         rows as a batch of columns.
         """
         self._check_open()
+        # The replicas take their replayed reads while the batch is checked here.
+        self._send_replays(list(self._replays))
         batch = ObservationBatch.of(observations)
         if not len(batch):
             return 0
@@ -385,14 +541,13 @@ class ForecastFleet:
                 positions.setdefault(self.shard_map.shard_of(segment_id), []).append(
                     position
                 )
-            gathered = self._scatter_call(
+            gathered = self._answer(
                 {
-                    shard: (
-                        "predict_batch",
-                        ([segment_ids[p] for p in shard_positions], horizon, use_cache),
-                    )
+                    shard: [segment_ids[p] for p in shard_positions]
                     for shard, shard_positions in positions.items()
-                }
+                },
+                horizon,
+                use_cache,
             )
             for shard, shard_positions in positions.items():
                 forecasts = gathered[shard]
@@ -532,14 +687,10 @@ class ForecastFleet:
                 )
                 gathered: dict[int, Any] = {0: forecasts}
             else:
-                gathered = self._scatter_call(
-                    {
-                        shard: (
-                            "predict_batch",
-                            ([t.segment_id for t in tickets], horizon, use_cache),
-                        )
-                        for shard, tickets in batches.items()
-                    }
+                gathered = self._answer(
+                    {shard: [t.segment_id for t in tickets] for shard, tickets in batches.items()},
+                    horizon,
+                    use_cache,
                 )
             completion = self._clock()
             for shard, tickets in batches.items():
@@ -593,20 +744,30 @@ class ForecastFleet:
         its call starts, and after this method returns every live shard
         holds the new weights.  A replica that dies mid-swap is marked
         lost exactly like any other scatter casualty (its segments shed
-        to naive persistence).  Emits one ``fleet_swap`` event.
+        to naive persistence).  Emits one ``fleet_swap`` event.  A
+        checkpoint the parent-side checks refuse (``load_model``'s
+        fingerprint check, geometry, scalers) reaches no replica: the
+        ``ValueError`` re-raises after a ``fleet_swap_refused`` event and
+        a ``swap_refused`` count.
         """
         self._check_open()
-        model = load_model(directory)
-        if model.features != self.features:
-            raise ValueError(
-                f"checkpoint feature geometry {model.features} does not match "
-                f"the fleet geometry {self.features}"
-            )
-        if model.scalers is None:
-            raise ValueError(
-                "checkpoint lacks scaler state (saved unfitted); fleet serving "
-                "needs the fitted scalers to transform raw observations"
-            )
+        try:
+            model = load_model(directory)
+            if model.features != self.features:
+                raise ValueError(
+                    f"checkpoint feature geometry {model.features} does not match "
+                    f"the fleet geometry {self.features}"
+                )
+            if model.scalers is None:
+                raise ValueError(
+                    "checkpoint lacks scaler state (saved unfitted); fleet serving "
+                    "needs the fitted scalers to transform raw observations"
+                )
+        except ValueError as error:
+            # Refused before any replica saw it: every shard keeps its model and table.
+            self.telemetry.counter("swap_refused").inc()
+            self._emit("fleet_swap_refused", reason=str(error))
+            raise
         fingerprint = model_fingerprint(model)
         if self._local is not None:
             self._local.swap_checkpoint(directory)

@@ -11,7 +11,18 @@ The replica is deliberately a thin batch adapter: ``ingest_batch`` /
 ``predict_batch`` exist so one pipe round trip carries one shard-batch
 instead of one request, and ``snapshot`` rides the service's shard-aware
 snapshot (segment range, gate quarantine count) so the parent can
-aggregate telemetry without extra calls.
+aggregate telemetry without extra calls.  The ``predict_batch`` that runs
+a store update's fill also returns the update's
+:class:`~repro.serving.service.ForecastTable`, from which the parent
+answers later cached reads itself; ``replay`` takes those reads back, in
+read order, ahead of the parent's next message, so the replica's cache,
+fill and counters end up as if it had served them.
+
+At start a replica pins numpy's bundled OpenBLAS to one thread (the
+parent and every replica share the host's cores; forked replicas would
+otherwise inherit the parent's BLAS threading and spin against each
+other).  ``blas`` reports the outcome; the parent process stays its
+caller's to configure.
 
 :class:`ReplicaSpec` is the picklable factory handed to
 :class:`repro.parallel.WorkerGroup` — everything needed to rebuild the
@@ -21,16 +32,47 @@ directory path.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..attacks.defense import GateConfig, PerturbationGate
-from ..serving.service import Forecast, ForecastService
+from ..serving.service import Forecast, ForecastService, ForecastTable
 from ..serving.state import ObservationBatch
 from .router import ShardMap
 
 __all__ = ["ReplicaSpec", "ShardReplica"]
+
+#: The thread setter numpy's bundled (scipy-openblas, 64-bit int) OpenBLAS exports.
+_BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+_BLAS_GET_THREADS = "scipy_openblas_get_num_threads64_"
+
+
+def _pin_blas_threads() -> tuple[int | None, str]:
+    """Pin numpy's bundled OpenBLAS to one thread; returns ``(threads, library)``.
+
+    ``threads`` is the count read back after pinning, or ``None`` when
+    no bundled library exporting the setter was found (``library`` then
+    names what was looked for).  Opening the library numpy already
+    loaded hands back the same handle, so the setting reaches numpy.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            library = ctypes.CDLL(path)
+            setter = getattr(library, _BLAS_SET_THREADS)
+            getter = getattr(library, _BLAS_GET_THREADS)
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(1)
+        return getter(), os.path.basename(path)
+    return None, f"{_BLAS_SET_THREADS} in {libs}"
 
 
 @dataclass(frozen=True)
@@ -63,6 +105,7 @@ class ShardReplica:
 
     def __init__(self, spec: ReplicaSpec):
         self.spec = spec
+        self.blas_threads, self.blas_library = _pin_blas_threads()
         shard_map = ShardMap(spec.num_segments, spec.num_shards, starts=spec.shard_starts)
         self.owned = shard_map.owned_range(spec.shard)
         gate = PerturbationGate(spec.gate_config) if spec.gate_config is not None else None
@@ -77,6 +120,9 @@ class ShardReplica:
             interval_minutes=spec.interval_minutes,
             store_capacity=spec.store_capacity,
         )
+        if self.blas_threads is None:
+            self.service.telemetry.counter("blas_threads_unpinned").inc()
+        self._fills = self.service.telemetry.counter("fills")
 
     # ------------------------------------------------------------------
     def ingest_batch(self, batch: ObservationBatch) -> int:
@@ -93,11 +139,28 @@ class ShardReplica:
         segment_ids: Sequence[int],
         horizon_steps: int | None,
         use_cache: bool,
-    ) -> list[Forecast]:
-        """Answer one shard-batch of owned-segment queries, in order."""
-        return self.service.predict_many(
+    ) -> tuple[list[Forecast], ForecastTable | None]:
+        """Answer one shard-batch of owned-segment queries, in order.
+
+        Returns the forecasts and, when this call ran the store update's
+        fill, the update's forecast table (see
+        :meth:`ForecastService.forecast_table`), else ``None``.
+        """
+        fills = self._fills.value
+        forecasts = self.service.predict_many(
             list(segment_ids), horizon_steps=horizon_steps, use_cache=use_cache
         )
+        if self._fills.value == fills:
+            return forecasts, None
+        return forecasts, self.service.forecast_table(forecasts)
+
+    def replay(self, segment_ids: Sequence[int]) -> None:
+        """Take the cached reads at ``beta`` the parent answered from this replica's table."""
+        self.service.replay(segment_ids)
+
+    def blas(self) -> dict:
+        """The BLAS pinning outcome: ``threads`` (``None`` if unpinned) and ``library``."""
+        return {"threads": self.blas_threads, "library": self.blas_library}
 
     def reset_segment(self, segment_id: int) -> None:
         self.service.store.reset_segment(segment_id)
@@ -110,6 +173,7 @@ class ShardReplica:
     def snapshot(self) -> dict:
         snap = self.service.snapshot()
         snap["shard"] = self.spec.shard
+        snap["blas_threads"] = self.blas_threads
         return snap
 
     def ping(self) -> int:

@@ -106,6 +106,11 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
         "p99_ms": _NUM,
     },
     "fleet_swap": {"shards_swapped": _INT, "fingerprint": _STR},
+    # A swap the parent's checks refused (checkpoint fingerprints, feature
+    # geometry, scalers): nothing was sent to any replica.
+    "fleet_swap_refused": {"reason": _STR},
+    # A replica could not pin numpy's bundled OpenBLAS to one thread.
+    "blas_threads_unpinned": {"library": _STR},
     # Continual learning (repro.mlops) -----------------------------------
     # Emitted by the drift monitors and the controller in the serving
     # parent process.  `drift_*` events record every evaluation (so the

@@ -20,19 +20,23 @@ Determinism: BLAS kernels pick different blocking for different batch
 shapes, so the *same* window forwarded alone and forwarded inside a
 batch of 60 can differ in the last ulp.  Every forward is therefore
 zero-padded to exactly ``max_batch_size`` rows, which pins the kernel
-shape and makes each row's result independent of its co-riders — a
-forecast is bitwise identical whether it was served alone, inside a
-full batch, or recomputed after a cache miss.  The padding rows are
-discarded before results are assigned.  One shape per batcher also
-means one compiled forward tape per served model.
+shape.  At the sizes that are pinned (2, 4, 8 and 64, the default;
+``tests/serving/test_row_independence.py``) that also makes each row's
+result independent of its co-riders — a forecast is bitwise identical
+whether it was served alone, inside a full batch, or recomputed after a
+cache miss.  It is not promised at other sizes: at 3 and 5 some rows of
+the micro graph F model moved in the last bit with their co-riders.
+The padding rows are discarded before results are assigned.  One shape
+per batcher also means one compiled forward tape per served model.
 
 The padded batch is allocated once and reused: a flush writes its rows
 and zeroes only the rows the previous flush used that this one does
 not, so every forward still sees a batch equal to a fresh zero-padded
 one.  ``forward`` must not keep references to its inputs.
 
-Padding fill: because a row's result does not depend on its co-riders,
-the rows a chunk would pad may carry other windows instead.  A flush
+Padding fill: because a row's result does not depend on its co-riders
+(at the pinned sizes), the rows a chunk would pad may carry other
+windows instead.  A flush
 given a ``fill`` asks it once for a block (``fill.take()`` returns an
 ``(images, day_types, flat)`` block, or ``None``); the block's first rows
 ride in the last request chunk's spare rows and the rest run in further

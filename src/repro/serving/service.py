@@ -51,7 +51,7 @@ from .forward import ServedForward
 from .state import Observation, ObservationBatch, SegmentStateStore, WindowView
 from ..obs.telemetry import Telemetry
 
-__all__ = ["Forecast", "ForecastService"]
+__all__ = ["Forecast", "ForecastService", "ForecastTable"]
 
 
 @dataclass(frozen=True)
@@ -72,29 +72,54 @@ class Forecast:
     model_fingerprint: str | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class ForecastTable:
+    """One store update's model forecasts at horizon ``beta``, as columns.
+
+    Row ``i``: the window of segment ``segment_ids[i]`` ends at step
+    ``end_steps[i]`` and its forecast is ``speeds_kmh[i]`` (target step
+    ``end_steps[i] + beta``).  ``cached[i]`` says whether the service's
+    cache holds that forecast, so that a cached read of it is a cache hit
+    (``from_cache=True``); otherwise the read takes it from the update's
+    fill (``from_cache=False``) and caches it.  Built by
+    :meth:`ForecastService.forecast_table` for a caller that answers the
+    update's later cached reads itself.
+    """
+
+    segment_ids: np.ndarray  # int64
+    speeds_kmh: np.ndarray  # float64
+    end_steps: np.ndarray  # int64
+    cached: np.ndarray  # bool
+    model_fingerprint: str
+
+
 class PaddingFill:
     """Forecasts the shard's other ready windows once per store update, and keeps them.
 
     A cached flush of ``k`` requests forwards ``max_batch_size`` rows
     however small ``k`` is.  Because the padding makes each row's result
-    independent of its co-riders, the spare rows may carry other windows
-    instead, and their forecasts are bitwise what an on-demand forward
-    would give.  The first cached flush of a store update takes, as one
-    block, every owned window that is complete, reads no gate-quarantined
-    segment and has not been read or assembled since the update (it was
-    forecast or answered from the cache): one readiness mask lists them
-    and the store assembles them in one pass.  They fill the requests'
-    spare rows and then as many further full forwards as they need.  The
-    km/h forecasts land in a table that a later cache miss in the same
-    update reads instead of queuing a forward.  The table belongs to one
+    independent of its co-riders at the batch sizes that are pinned (2,
+    4, 8 and 64; see :mod:`repro.serving.batcher`), the spare rows may
+    carry other windows instead, and their forecasts are bitwise what an
+    on-demand forward would give.  The first cached flush of a store
+    update takes, as one block, every owned window that is complete,
+    reads no gate-quarantined segment and has not been read or assembled
+    since the update (it was forecast or answered from the cache): one
+    readiness mask lists them and the store assembles them in one pass.
+    They fill the requests' spare rows and then as many further full
+    forwards as they need.  The km/h forecasts land in a table that a
+    later cache miss in the same update reads instead of queuing a
+    forward.  The table belongs to one
     store update: later flushes in it take nothing, and the next update
-    (or :meth:`reset`, on a checkpoint swap) starts afresh.
+    (or :meth:`reset`, on a checkpoint swap) starts afresh.  The same
+    forecasts stay readable as columns (:meth:`entries`), for the
+    update's :class:`ForecastTable`.
 
     Holds the store, the gate and the telemetry but not the service, so
     the service's objects form no reference cycle.
     """
 
-    __slots__ = ("_store", "_gate", "_telemetry", "_range", "_update", "_kmh", "_taken")
+    __slots__ = ("_store", "_gate", "_telemetry", "_range", "_update", "_kmh", "_taken", "_ends", "_entries")
 
     def __init__(
         self,
@@ -106,12 +131,14 @@ class PaddingFill:
         self._store, self._gate, self._telemetry = store, gate, telemetry
         self._range = segment_range
         self._taken: list[int] = []
+        self._ends: list[int] = []
         self.reset()
 
     def reset(self) -> None:
         """Drop the table: the next cached flush fills afresh."""
         self._update: int | None = None  # the store update the table belongs to
         self._kmh: dict[int, float] = {}
+        self._entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def lookup(self, segment_id: int) -> float | None:
         """The km/h forecast a fill made for this segment in the current update, if any."""
@@ -126,7 +153,7 @@ class PaddingFill:
         """
         if self._update == self._store.updates:
             return None
-        self._update, self._kmh = self._store.updates, {}
+        self._update, self._kmh, self._entries = self._store.updates, {}, None
         self._telemetry.counter("fills").inc()
         # Quarantine moves only when an ingest is screened, a store update.
         quarantined = self._gate.quarantined_segments() if self._gate is not None else []
@@ -134,14 +161,21 @@ class PaddingFill:
         segments, block = self._store.fill_windows(self._store.ready_segments(*self._range, avoid))
         if block is None:
             return None
-        self._taken = segments.tolist()
+        self._taken, self._ends = segments.tolist(), block.ends
         self._telemetry.counter("fill_rows").inc(len(segments))
         return block.images, block.day_types, block.flats
 
     def give(self, kmh: np.ndarray) -> None:
         """Record the forecasts of the block :meth:`take` returned last."""
         self._kmh.update(zip(self._taken, kmh.tolist()))
-        self._taken = []
+        self._entries = (np.asarray(self._taken, dtype=np.int64), kmh, np.asarray(self._ends, dtype=np.int64))
+        self._taken, self._ends = [], []
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """This update's fill as ``(segments, km/h, window end steps)`` columns, if it ran."""
+        if self._update != self._store.updates:
+            return None
+        return self._entries
 
 
 class ForecastService:
@@ -240,6 +274,10 @@ class ForecastService:
             output=scalers.speed.inverse_transform,
         )
         self._fill = PaddingFill(self.store, self.segment_range, gate, self.telemetry)
+        # Per segment, the highest window end step of a forecast cached
+        # since the cache was last cleared: a window ending later cannot
+        # be in the cache.
+        self._cached_end = [-1] * num_segments
 
     @classmethod
     def from_checkpoint(cls, directory: str | Path, num_segments: int, **kwargs) -> "ForecastService":
@@ -374,6 +412,8 @@ class ForecastService:
             # The cache holds the answer as every hit returns it: one
             # immutable Forecast, shared rather than copied per hit.
             self.cache.put(key, Forecast(**fields, from_cache=True))
+            if view.end_step > self._cached_end[view.segment_id]:
+                self._cached_end[view.segment_id] = view.end_step
         return Forecast(**fields)
 
     def predict(
@@ -406,6 +446,70 @@ class ForecastService:
         returned with ``from_cache=False`` and then cached.
         """
         start = time.perf_counter()
+        results = self._answer_many(segment_ids, horizon_steps, use_cache)
+        self.telemetry.histogram("predict_many_latency_ms").observe(
+            (time.perf_counter() - start) * 1e3
+        )
+        return results
+
+    def replay(self, segment_ids: Sequence[int]) -> None:
+        """Take cached reads at ``beta`` that were answered from this service's table elsewhere.
+
+        A caller that answers reads from a :meth:`forecast_table` sends
+        them back here, in read order, before anything else reaches the
+        service: the cache, the fill and every counter then move exactly
+        as ``predict_many(segment_ids)`` would have moved them at read
+        time (a cache entry's TTL runs from now).  Nothing is returned,
+        and the time goes to the ``replay_ms`` histogram rather than to
+        ``predict_many_latency_ms``, which times calls only.
+        """
+        start = time.perf_counter()
+        self._answer_many(segment_ids, None, True)
+        self.telemetry.histogram("replay_ms").observe((time.perf_counter() - start) * 1e3)
+
+    def forecast_table(self, answered: Sequence[Forecast]) -> ForecastTable | None:
+        """This update's forecasts that a later cached read at ``beta`` takes without the model.
+
+        Call it straight after the cached ``predict_many`` at ``beta``
+        that ran this store update's fill, with what that call returned.
+        The table holds the fill's forecasts whose first cached read
+        takes them from the fill (not cached yet: a window ending no later
+        than one already cached is left out, it may be a cache hit) and
+        the call's own model answers it forwarded, now cached.  Other
+        reads (degraded, horizons other than ``beta``, cache hits from an
+        earlier update) are not in it.  ``None`` when the cache cannot
+        hold one forecast per owned window, since then an entry could be
+        evicted before the update's last read.
+        """
+        lo, hi = self.segment_range
+        if self.cache.capacity < hi - lo:
+            return None
+        beta = self._model.features.beta
+        forwarded = [f for f in answered if f.source == "model" and not f.from_cache]
+        segments = [np.array([f.segment_id for f in forwarded], dtype=np.int64)]
+        kmh = [np.array([f.speed_kmh for f in forwarded], dtype=np.float64)]
+        ends = [np.array([f.target_step - beta for f in forwarded], dtype=np.int64)]
+        cached = [np.ones(len(forwarded), dtype=bool)]
+        filled = self._fill.entries()
+        if filled is not None:
+            fill_segments, fill_kmh, fill_ends = filled
+            fresh = fill_ends > np.asarray(self._cached_end)[fill_segments]
+            segments.append(fill_segments[fresh])
+            kmh.append(fill_kmh[fresh])
+            ends.append(fill_ends[fresh])
+            cached.append(np.zeros(int(fresh.sum()), dtype=bool))
+        return ForecastTable(
+            np.concatenate(segments),
+            np.concatenate(kmh),
+            np.concatenate(ends),
+            np.concatenate(cached),
+            self._fingerprint,
+        )
+
+    def _answer_many(
+        self, segment_ids: Sequence[int], horizon_steps: int | None, use_cache: bool
+    ) -> list[Forecast]:
+        """:meth:`predict_many` without its latency histogram."""
         horizon = horizon_steps if horizon_steps is not None else self._model.features.beta
         segment_ids = list(segment_ids)
         beta = self._model.features.beta
@@ -454,9 +558,6 @@ class ForecastService:
         self.batcher.flush(self._fill if use_cache and queued else None)
         for position, key, view, pending in queued:
             results[position] = self._complete(key, view, pending.value, horizon, use_cache)
-        self.telemetry.histogram("predict_many_latency_ms").observe(
-            (time.perf_counter() - start) * 1e3
-        )
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -492,6 +593,7 @@ class ForecastService:
         self.store.scalers = model.scalers
         self._fill.reset()  # the old model's fill forecasts go too
         self.cache.clear()
+        self._cached_end = [-1] * self.store.num_segments
         self.telemetry.counter("checkpoint_swaps").inc()
         return model
 

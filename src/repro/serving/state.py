@@ -790,15 +790,16 @@ class WindowBlock:
     ``images`` and ``day_types`` are views into ``flats``, all read-only.
     """
 
-    __slots__ = ("images", "day_types", "flats", "_ends", "_last_speeds", "_beta")
+    __slots__ = ("images", "day_types", "flats", "ends", "_last_speeds", "_beta")
 
     def __init__(self, images, day_types, flats, ends: list[int], last_speeds: list[float], beta: int):
         self.images, self.day_types, self.flats = images, day_types, flats
-        self._ends, self._last_speeds, self._beta = ends, last_speeds, beta
+        self.ends = ends  # each window's end step
+        self._last_speeds, self._beta = last_speeds, beta
 
     def view(self, row: int, segment_id: int) -> WindowView:
         """Row ``row`` as a :class:`WindowView`, fingerprint included."""
-        end = self._ends[row]
+        end = self.ends[row]
         # The flat row is the image bytes then the day-type bytes.
         digest = hashlib.blake2b(end.to_bytes(8, "little", signed=True), digest_size=12)
         digest.update(self.flats[row])

@@ -114,6 +114,12 @@ class TestValidateEvent:
                 p99_ms=26.0,
             ),
             "fleet_swap": envelope("fleet_swap", shards_swapped=2, fingerprint="ab12"),
+            "fleet_swap_refused": envelope(
+                "fleet_swap_refused", reason="checkpoint lacks scaler state"
+            ),
+            "blas_threads_unpinned": envelope(
+                "blas_threads_unpinned", library="libscipy_openblas64_.so"
+            ),
             "drift_error": envelope(
                 "drift_error",
                 samples=64,

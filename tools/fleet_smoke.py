@@ -8,10 +8,12 @@ Two checks, both against live replica processes:
    ``shards=1`` fleet built from the same checkpoint and fed the same
    stream.  A sparse pass then makes cached 2-segment calls after one
    more ingest, fed as an ``ObservationBatch`` of columns: they must
-   equal the ``shards=1`` fleet's uncached answers bitwise, every
-   replica must have served some of them from its padding fill
-   (``fill_served`` above 0), and each replica must have run exactly
-   one fill in that one store update.
+   equal the ``shards=1`` fleet's cached answers bitwise (``from_cache``
+   included), the parent must have answered some of them from the
+   replicas' forecast tables (``answered_in_parent`` above 0), every
+   replica must still report reads served from its padding fill
+   (``fill_served`` above 0) once the snapshot has replayed them, and
+   each replica must have run exactly one fill in that one store update.
 2. **Crash degradation** — after ``kill_replica`` hard-exits one
    replica, the lost shard's segments must come back as degraded naive
    persistence (never an exception, never a hang), the surviving shard
@@ -104,23 +106,25 @@ def check_shard_parity(checkpoint: str, series) -> None:
         tick = ObservationBatch.from_observations(_tick(series, WARM_TICKS))
         for fleet in (single, sharded):
             fleet.ingest_many(tick)
-        calls = [[2, 6], [3, 5], [4, 8]]
-        reference = [single.predict_many(call, use_cache=False) for call in calls]
+        calls = [[2, 6], [3, 5], [4, 8], [5, 3, 5]]
+        reference = [single.predict_many(call) for call in calls]
         answers = [sharded.predict_many(call) for call in calls]
         assert answers == reference, (
-            "cached sparse calls on the 2-shard fleet diverged from uncached shards=1:\n"
+            "cached sparse calls on the 2-shard fleet diverged from shards=1:\n"
             f"  shards=1: {reference}\n  shards=2: {answers}"
         )
-        replicas = sharded.snapshot()["replicas"]
-        served = [replica["fill"]["served"] for replica in replicas]
+        snapshot = sharded.snapshot()
+        in_parent = snapshot["telemetry"]["counters"].get("answered_in_parent", 0)
+        assert in_parent > 0, "the parent answered no read from the replicas' forecast tables"
+        served = [replica["fill"]["served"] for replica in snapshot["replicas"]]
         assert all(count > 0 for count in served), f"replicas served nothing from fills: {served}"
         after = _fills_and_updates(sharded)
         assert all(a[0] - b[0] == a[1] - b[1] == 1 for a, b in zip(after, before)), (
             f"expected one fill per replica in the one update, (fills, updates) went {before} -> {after}"
         )
     print(
-        f"sparse parity: OK ({len(calls)} cached calls == uncached shards=1, "
-        f"one fill per replica per update, fill_served {served})"
+        f"sparse parity: OK ({len(calls)} cached calls == shards=1, {in_parent:.0f} reads "
+        f"answered in the parent, one fill per replica per update, fill_served {served})"
     )
 
 
