@@ -2,13 +2,15 @@
 
 Generalises the linear corridor to a directed road graph: junction
 topology (:mod:`~repro.network.graph`), gravity-model OD demand
-(:mod:`~repro.network.demand`), wave propagation with queue spillback
-(:mod:`~repro.network.waves`), declarative scenario configs
+(:mod:`~repro.network.demand`), the graph entry point to the speed-field
+engine (:mod:`~repro.network.waves`), declarative scenario configs
 (:mod:`~repro.network.scenarios`), network KPIs
 (:mod:`~repro.network.kpis`) and graph-aware fleet shard boundaries
 (:mod:`~repro.network.sharding`).
 
-The engine emits ordinary :class:`~repro.traffic.types.TrafficSeries`
+The graph runs the corridor's own speed-field engine
+(:func:`repro.traffic.simulator.run_speed_field`) over junction
+adjacency, and emits ordinary :class:`~repro.traffic.types.TrafficSeries`
 objects, so the existing feature pipeline, trainers, serving stack and
 fleet consume network scenarios unchanged; a corridor embedded via
 :func:`from_corridor` reproduces the corridor simulator bitwise.

@@ -71,9 +71,10 @@ class RoadGraph:
     ``tails[i]`` / ``heads[i]`` are the junctions segment ``i`` leaves
     from and flows into.  ``zone_of[i]`` assigns each segment to a
     demand zone (see :mod:`repro.network.demand`).  ``corridor`` is set
-    only by :func:`from_corridor` and marks the graph as a degenerate
-    path: the network simulator delegates such graphs to the corridor
-    engine so corridor output stays bitwise identical.
+    only by :func:`from_corridor` and marks the graph as an embedded
+    corridor: :meth:`as_corridor` returns it, and the network simulator
+    runs no queue spillback on it when it has no scenario and no demand
+    weights, so its output equals the corridor simulator's bitwise.
     """
 
     segments: tuple[RoadSegment, ...]
@@ -525,9 +526,11 @@ def from_corridor(corridor: Corridor) -> RoadGraph:
     segments; segment ``i`` runs junction ``i -> i + 1``.  The BFS order
     of a path from segment 0 is the identity, so ids, adjacency and the
     ``±m`` window semantics coincide exactly with the corridor's index
-    arithmetic.  The returned graph carries ``corridor`` so
-    :class:`repro.network.waves.NetworkSimulator` can delegate to the
-    corridor engine (the bitwise-identity invariant pinned by tests).
+    arithmetic, and ``upstream_of``/``neighbours`` equal the corridor's
+    own.  The returned graph carries ``corridor``, which tells
+    :class:`repro.network.waves.NetworkSimulator` to skip queue
+    spillback on a plain run, so the one engine produces the corridor
+    simulator's output bitwise (pinned by tests).
     """
     n = len(corridor)
     junctions = []

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..traffic.simulator import SPILL_ONSET
 from ..traffic.types import SimulationConfig, TrafficSeries
 from .graph import RoadGraph
-from .waves import SPILL_ONSET
 
 __all__ = ["NetworkKpis", "invert_congestion_demand", "compute_kpis", "compare_kpis"]
 

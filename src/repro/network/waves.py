@@ -1,29 +1,27 @@
-"""The network speed-field engine: corridor physics on a road graph.
+"""The road-graph entry point to the one speed-field engine.
 
-:class:`NetworkSimulator` generalises
-:class:`repro.traffic.simulator.TrafficSimulator` from a path to a
-:class:`~repro.network.graph.RoadGraph`.  It reuses the corridor's laws
-verbatim — the module-level :func:`~repro.traffic.simulator.demand_profile`
-and :func:`~repro.traffic.simulator.congestion_speed_factor`, the
-weather model, the incident sampler — and replaces every place the
-corridor used ``segment - 1`` index arithmetic with graph adjacency:
+:class:`NetworkSimulator` runs
+:func:`repro.traffic.simulator.run_speed_field` over a
+:class:`~repro.network.graph.RoadGraph`.  The engine reads the graph's
+adjacency where a corridor's path would be, so on a graph:
 
 * incident shockwaves spread **upstream through junctions**, damped by
   ``upstream_propagation_decay`` per hop and split across incoming
-  branches (a merge divides the queue; a path reproduces the corridor's
-  ``decay**offset`` exactly);
-* flash congestion spills onto *all* upstream branches instead of
-  ``seg - 1``;
-* a per-tick **queue spillback** pass lets congestion accumulated on a
-  segment propagate backwards across junctions over time (the
-  LWR-flavoured behaviour a static mask cannot express);
+  branches (a merge divides the queue);
+* flash congestion spills onto *all* upstream branches;
 * spatial smoothing averages over graph neighbours.
 
-**The corridor invariant:** a graph built by
-:func:`~repro.network.graph.from_corridor` carries its corridor, and
-``run()`` delegates such graphs (with no scenario and no demand
-weights) to ``TrafficSimulator`` itself — corridor output is bitwise
-identical by construction, and a test pins it.
+On top of the corridor's physics a graph run adds per-segment demand
+weights (an OD assignment), a compiled :class:`Scenario` and the
+per-tick **queue spillback** pass, which lets congestion accumulated on
+a segment propagate backwards across junctions over time (the
+LWR-flavoured behaviour a static mask cannot express).
+
+**Spillback rule.**  Spillback runs on every graph except a
+:func:`~repro.network.graph.from_corridor` graph with no scenario and no
+demand weights: that run is the corridor itself, bitwise equal to
+:class:`~repro.traffic.simulator.TrafficSimulator` on the embedded
+corridor, and a test pins it.
 
 Output is an ordinary :class:`~repro.traffic.types.TrafficSeries` (the
 graph wrapped via :meth:`RoadGraph.as_corridor`), so the feature
@@ -35,84 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..traffic.calendar import day_type_flags, is_weekend, timeline
-from ..traffic.incidents import Incident, sample_incidents
-from ..traffic.simulator import TrafficSimulator, congestion_speed_factor, demand_profile
+from ..traffic.simulator import run_speed_field
 from ..traffic.types import SimulationConfig, TrafficSeries
-from ..traffic.weather import WeatherModel
 from .graph import RoadGraph
-from .scenarios import ModifierSchedule, Scenario, compile_scenario
+from .scenarios import Scenario, compile_scenario
 
 __all__ = ["NetworkSimulator", "simulate_network"]
-
-# Queue spillback constants (module-level so tests can pin them).
-SPILL_RHO = 0.55  # per-tick queue persistence (memory of past congestion)
-SPILL_GAIN = 0.35  # how fast congestion above the onset feeds the queue
-SPILL_ONSET = 0.5  # congestion level (1 - v/v_free) where queues start
-QUEUE_MAX = 0.45  # cap on the queue state and on the speed reduction
-
-_INCIDENT_REACH = 2  # hops a shockwave travels upstream (matches corridor)
-
-
-def _graph_incident_masks(
-    graph: RoadGraph,
-    incidents: list[Incident],
-    total_steps: int,
-    upstream_decay: float,
-    delay_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Graph generalisation of :func:`repro.traffic.incidents.incident_masks`.
-
-    The shockwave walks ``upstream_of`` instead of ``segment - 1``: at
-    each hop the damping multiplies by ``upstream_decay`` and divides by
-    the number of incoming branches (a merge splits the queue).  On a
-    path graph every hop has exactly one upstream segment, so the
-    damping reduces to the corridor's ``decay**offset``.
-    """
-    num_segments = len(graph)
-    factor = np.ones((num_segments, total_steps))
-    flags = np.zeros((num_segments, total_steps))
-
-    for incident in incidents:
-        profile_len = incident.duration_steps + incident.recovery_steps
-        profile = np.ones(profile_len)
-        profile[: incident.duration_steps] = incident.severity
-        profile[incident.duration_steps :] = np.linspace(
-            incident.severity, 1.0, incident.recovery_steps + 1
-        )[1:]
-
-        wave: dict[int, float] = {incident.segment: 1.0}
-        reached = {incident.segment}
-        for depth in range(_INCIDENT_REACH + 1):
-            start = incident.start_step + depth * delay_steps
-            if start < total_steps:
-                stop = min(start + profile_len, total_steps)
-                window = profile[: stop - start]
-                for segment, damping in sorted(wave.items()):
-                    hit = 1.0 - damping * (1.0 - window)
-                    factor[segment, start:stop] = np.minimum(factor[segment, start:stop], hit)
-            if depth == _INCIDENT_REACH:
-                break
-            frontier: dict[int, float] = {}
-            for segment, damping in sorted(wave.items()):
-                ups = graph.upstream_of(segment)
-                if not ups:
-                    continue
-                share = damping * upstream_decay / len(ups)
-                for up in ups:
-                    if up in reached:
-                        continue
-                    frontier[up] = max(frontier.get(up, 0.0), share)
-            if not frontier:
-                break
-            reached |= set(frontier)
-            wave = frontier
-
-        active_stop = min(incident.end_step, total_steps)
-        if incident.start_step < total_steps:
-            flags[incident.segment, incident.start_step : active_stop] = 1.0
-
-    return factor, flags
 
 
 class NetworkSimulator:
@@ -139,242 +65,22 @@ class NetworkSimulator:
         self.demand_weights = demand_weights
         self.scenario = scenario
 
-    # ------------------------------------------------------------------
-    def _flash_congestion(
-        self, demand: np.ndarray, total: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Corridor flash congestion with graph-aware upstream spill.
-
-        Draw order matches :meth:`TrafficSimulator._flash_congestion`
-        exactly (poisson count, dense-step choice, per-flash target/
-        duration/severity); only the spill target changes from
-        ``seg - 1`` to every upstream branch, each receiving the damping
-        divided by the branch count.
-        """
-        cfg = self.config
-        num_segments = len(self.graph)
-        factor = np.ones((num_segments, total))
-        count = rng.poisson(cfg.flash_rate_per_day * cfg.num_days)
-        dense_steps = np.flatnonzero(demand >= cfg.flash_demand_threshold)
-        if dense_steps.size == 0 or count == 0:
-            return factor
-        starts = rng.choice(dense_steps, size=count)
-        for start in starts:
-            if rng.random() < cfg.flash_target_bias:
-                seg = self.graph.target_index
-            else:
-                seg = int(rng.integers(0, num_segments))
-            duration = int(
-                rng.integers(cfg.flash_duration_steps_low, cfg.flash_duration_steps_high + 1)
-            )
-            severity = float(rng.uniform(cfg.flash_severity_low, cfg.flash_severity_high))
-            stop = min(start + duration, total)
-            factor[seg, start:stop] = np.minimum(factor[seg, start:stop], severity)
-            ups = self.graph.upstream_of(seg)
-            if ups and start + 1 < total:
-                neighbour_stop = min(stop + 1, total)
-                damped = 1.0 - 0.45 * (1.0 - severity) / len(ups)
-                for up in ups:
-                    factor[up, start + 1 : neighbour_stop] = np.minimum(
-                        factor[up, start + 1 : neighbour_stop], damped
-                    )
-        return factor
-
-    def _queue_spillback(self, speeds: np.ndarray, free_flow: np.ndarray) -> np.ndarray:
-        """Per-tick queue state spilling backwards across junctions.
-
-        Each segment accumulates a queue ``q`` (AR(1) with persistence
-        ``SPILL_RHO``) from congestion above ``SPILL_ONSET``; upstream
-        segments lose speed in proportion to the queues of the segments
-        they feed, split across incoming branches.  Deterministic — no
-        rng — so baseline and scenario runs diverge only through the
-        speeds themselves.
-        """
-        num_segments = len(self.graph)
-        edge_up: list[int] = []
-        edge_down: list[int] = []
-        edge_weight: list[float] = []
-        for down in range(num_segments):
-            ups = self.graph.upstream_of(down)
-            for up in ups:
-                edge_up.append(up)
-                edge_down.append(down)
-                edge_weight.append(1.0 / len(ups))
-        if not edge_up:
-            return speeds
-        up_idx = np.asarray(edge_up)
-        down_idx = np.asarray(edge_down)
-        weight = np.asarray(edge_weight)
-
-        queue = np.zeros(num_segments)
-        for t in range(speeds.shape[1]):
-            congestion = 1.0 - speeds[:, t] / free_flow
-            queue = np.clip(
-                SPILL_RHO * queue + SPILL_GAIN * np.maximum(congestion - SPILL_ONSET, 0.0),
-                0.0,
-                QUEUE_MAX,
-            )
-            spill = np.zeros(num_segments)
-            np.add.at(spill, up_idx, queue[down_idx] * weight)
-            speeds[:, t] *= np.clip(1.0 - spill, 1.0 - QUEUE_MAX, 1.0)
-        return speeds
-
-    def _spatial_smoothing(self, speeds: np.ndarray) -> np.ndarray:
-        """The corridor's 0.82/0.18 neighbour pull over graph adjacency."""
-        num_segments = len(self.graph)
-        pair_self: list[int] = []
-        pair_other: list[int] = []
-        counts = np.zeros(num_segments)
-        for seg in range(num_segments):
-            neighbours = self.graph.neighbours(seg)
-            counts[seg] = len(neighbours)
-            for other in neighbours:
-                pair_self.append(seg)
-                pair_other.append(other)
-        neighbour_sum = np.zeros_like(speeds)
-        if pair_self:
-            np.add.at(neighbour_sum, np.asarray(pair_self), speeds[np.asarray(pair_other)])
-        has = counts > 0
-        neighbour_mean = speeds.copy()  # isolated segments pull toward themselves
-        neighbour_mean[has] = neighbour_sum[has] / counts[has, None]
-        return 0.82 * speeds + 0.18 * neighbour_mean
-
-    # ------------------------------------------------------------------
     def run(self) -> TrafficSeries:
-        """Generate the network speed field and auxiliary channels.
-
-        A :func:`from_corridor` graph with no scenario and no demand
-        weights delegates to the corridor engine itself, so corridor
-        output is bitwise identical (the pinned invariant).
-        """
-        if (
-            self.graph.corridor is not None
-            and self.scenario is None
-            and self.demand_weights is None
-        ):
-            return TrafficSimulator(self.config, self.graph.corridor).run()
-
-        cfg = self.config
+        """Generate the network speed field and auxiliary channels."""
         graph = self.graph
-        rng = np.random.default_rng(cfg.seed + 1)
-        stamps = timeline(cfg.start_date, cfg.num_days, cfg.interval_minutes)
-        total = len(stamps)
-        num_segments = len(graph)
-
-        schedule: ModifierSchedule | None = None
+        schedule = None
         if self.scenario is not None:
-            schedule = compile_scenario(self.scenario, graph, total)
-
-        # Calendar channels (identical to the corridor engine).
-        hours = np.array([s.hour for s in stamps], dtype=np.float64)
-        hour_fraction = np.array([s.hour + s.minute / 60.0 for s in stamps])
-        day_types = np.empty((total, 4))
-        weekday_mask = np.empty(total, dtype=bool)
-        holiday_mask = np.empty(total, dtype=bool)
-        steps_per_day = cfg.steps_per_day
-        for day_index in range(cfg.num_days):
-            date = stamps[day_index * steps_per_day].date()
-            flags = day_type_flags(date, cfg.holidays)
-            sl = slice(day_index * steps_per_day, (day_index + 1) * steps_per_day)
-            day_types[sl] = flags.as_array()
-            weekday_mask[sl] = date.weekday() < 5 and not flags.holiday
-            holiday_mask[sl] = flags.holiday or is_weekend(date)
-
-        # Weather (one model for the whole city).
-        weather = WeatherModel(interval_minutes=cfg.interval_minutes)
-        temperature, precipitation = weather.generate(stamps, rng)
-
-        # Shared diurnal demand, per day type.
-        demand = np.empty(total)
-        for day_index in range(cfg.num_days):
-            sl = slice(day_index * steps_per_day, (day_index + 1) * steps_per_day)
-            weekday = bool(weekday_mask[sl][0])
-            holiday = bool(holiday_mask[sl][0]) and not is_weekend(
-                stamps[day_index * steps_per_day].date()
-            )
-            demand[sl] = demand_profile(cfg, hour_fraction[sl], weekday=weekday, holiday=holiday)
-
-        rain_intensity = np.clip(precipitation / 1.0, 0.0, 1.0)
-        demand = demand + cfg.rain_demand_boost * rain_intensity
-
-        # AR(1) city-wide demand fluctuation.
-        noise = np.empty(total)
-        level = 0.0
-        for i in range(total):
-            level = cfg.demand_noise_rho * level + rng.normal(0.0, cfg.demand_noise_std)
-            noise[i] = level
-        demand = np.clip(demand + noise, 0.02, 1.2)
-
-        # Per-segment demand variation (local access patterns).
-        segment_bias = rng.normal(0.0, 0.03, size=num_segments)
-
-        # Incidents, propagated through the junction graph.
-        incidents = sample_incidents(cfg, num_segments, rng, graph.target_index)
-        incident_factor, event_flags = _graph_incident_masks(
+            schedule = compile_scenario(self.scenario, graph, self.config.total_steps)
+        plain_corridor = (
+            graph.corridor is not None and schedule is None and self.demand_weights is None
+        )
+        return run_speed_field(
             graph,
-            incidents,
-            total,
-            upstream_decay=cfg.upstream_propagation_decay,
-            delay_steps=cfg.propagation_delay_steps,
-        )
-
-        rain_factor = 1.0 - (1.0 - cfg.rain_speed_factor) * rain_intensity
-        flash_factor = self._flash_congestion(demand, total, rng)
-
-        # Assemble the pre-noise speed field through the shared laws.
-        free_flow = np.array([s.free_flow_kmh for s in graph.segments])
-        weights = (
-            self.demand_weights if self.demand_weights is not None else np.ones(num_segments)
-        )
-        seg_demand = demand[None, :] * weights[:, None] + segment_bias[:, None]
-        if schedule is not None:
-            seg_demand = seg_demand + schedule.demand_boost
-        seg_demand = np.clip(seg_demand, 0.02, 1.2)
-        speeds = (
-            free_flow[:, None]
-            * congestion_speed_factor(cfg, seg_demand)
-            * rain_factor[None, :]
-            * incident_factor
-            * flash_factor
-        )
-        if schedule is not None:
-            speeds = speeds * schedule.speed_factor
-
-        # Queue spillback, then neighbour smoothing.
-        speeds = self._queue_spillback(speeds, free_flow)
-        speeds = self._spatial_smoothing(speeds)
-
-        # AR(1) measurement noise, one innovation stream per segment.
-        # A single (S, T) draw consumes the stream in the same order as
-        # S sequential length-T draws (C-order fill), and the recursion
-        # is vectorised across segments.
-        innovations = rng.normal(0.0, cfg.speed_noise_std, size=(num_segments, total))
-        level_vec = np.zeros(num_segments)
-        for i in range(total):
-            level_vec = cfg.speed_noise_rho * level_vec + innovations[:, i]
-            speeds[:, i] += level_vec
-
-        # Temporal kernel smoothing (corridor's [0.08, 0.84, 0.08]).
-        padded = np.pad(speeds, ((0, 0), (1, 1)), mode="edge")
-        speeds = 0.08 * padded[:, :-2] + 0.84 * padded[:, 1:-1] + 0.08 * padded[:, 2:]
-
-        speeds = np.clip(speeds, cfg.min_speed_kmh, cfg.max_speed_kmh)
-
-        events = event_flags
-        if schedule is not None:
-            events = np.maximum(event_flags, schedule.event_flags)
-            precipitation = precipitation + schedule.precipitation_extra
-
-        return TrafficSeries(
-            corridor=graph.as_corridor(),
-            speeds=speeds,
-            temperature=temperature,
-            precipitation=precipitation,
-            events=events,
-            hours=hours,
-            day_types=day_types,
-            timestamps=stamps,
-            interval_minutes=cfg.interval_minutes,
+            graph.as_corridor(),
+            self.config,
+            demand_weights=self.demand_weights,
+            schedule=schedule,
+            spillback=not plain_corridor,
         )
 
 

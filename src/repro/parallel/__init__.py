@@ -6,11 +6,10 @@ dependency, no import of any repro layer above :mod:`repro.obs`):
 * :mod:`pool` — :class:`WorkerPool`: fault-tolerant task execution
   with deterministic per-task seeds, heartbeats, per-task timeouts,
   capped retries on worker death, and ``pool_task_*`` obs events.
-* :mod:`api` — :func:`parallel_map` and :class:`ShardedSweep`, the
-  forms adopted by ``core.tuning.grid_search``,
-  ``attacks.harness.evaluate_robustness`` and the experiment suite
-  runner; ``workers=1`` is always a no-process, bitwise-identical
-  serial path.
+* :mod:`api` — :func:`parallel_map`, the form adopted by
+  ``core.tuning.grid_search``, ``attacks.harness.evaluate_robustness``
+  and the experiment suite runner; ``workers=1`` is always a
+  no-process, bitwise-identical serial path.
 * :mod:`group` — :class:`WorkerGroup`: persistent stateful replica
   workers over pipes, the substrate under
   :class:`repro.core.DataParallelTrainer`.
@@ -20,7 +19,7 @@ may import only ``repro.obs``; ``core`` / ``attacks`` / ``experiments``
 may import ``repro.parallel``.
 """
 
-from .api import ShardedSweep, parallel_map
+from .api import parallel_map
 from .group import WorkerGroup, WorkerGroupError
 from .pool import PoolError, TaskFailure, WorkerPool
 from .seeding import (
@@ -36,7 +35,6 @@ __all__ = [
     "TaskFailure",
     "PoolError",
     "parallel_map",
-    "ShardedSweep",
     "WorkerGroup",
     "WorkerGroupError",
     "derive_task_seed",

@@ -1,23 +1,16 @@
-"""High-level entry points over :class:`repro.parallel.WorkerPool`.
+"""High-level entry point over :class:`repro.parallel.WorkerPool`.
 
 :func:`parallel_map` is the one-call form the compute layers use
-(``core.tuning``, ``attacks.harness``, the experiment suite runner);
-:class:`ShardedSweep` adds deterministic chunking for sweeps of many
-cheap configurations, with the invariant that each *item*'s derived
-seed depends only on its global index — never on the chunk size or the
-worker count — so a sweep's numbers are reproducible under any
-parallel layout.
+(``core.tuning``, ``attacks.harness``, the experiment suite runner).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .pool import WorkerPool
-from .seeding import derive_task_seed, task_context
 
-__all__ = ["parallel_map", "ShardedSweep"]
+__all__ = ["parallel_map"]
 
 
 def parallel_map(
@@ -52,69 +45,3 @@ def parallel_map(
         recorder=recorder,
     )
     return pool.map(fn, items, return_failures=return_failures)
-
-
-def _run_shard(shard: tuple) -> list:
-    """Execute one shard of a :class:`ShardedSweep` (runs in a worker).
-
-    Re-installs the task context per *item* with the item's global
-    index, overriding the pool's per-shard context, so item seeds are
-    invariant to how the sweep was chunked.
-    """
-    fn, base_index, items, root_seed = shard
-    results = []
-    for offset, item in enumerate(items):
-        index = base_index + offset
-        with task_context(index, 0, derive_task_seed(root_seed, index)):
-            results.append(fn(item))
-    return results
-
-
-@dataclass
-class ShardedSweep:
-    """Deterministically chunked parallel sweep over many configurations.
-
-    Items are grouped into contiguous shards of ``chunk_size`` which
-    become the pool's tasks — amortising dispatch and pickling overhead
-    when individual items are cheap.  Results come back flattened in
-    submission order regardless of which worker ran which shard.
-    """
-
-    fn: Callable[[Any], Any]
-    workers: int = 1
-    chunk_size: int = 1
-    root_seed: int = 0
-    task_timeout: float | None = None
-    max_retries: int = 2
-    context: str | Any | None = None
-    initializer: Callable[..., None] | None = None
-    initargs: tuple = ()
-    recorder: Any = None
-
-    def __post_init__(self):
-        if self.chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
-
-    def shards(self, items: Sequence) -> list[tuple]:
-        return [
-            (self.fn, start, list(items[start : start + self.chunk_size]), self.root_seed)
-            for start in range(0, len(items), self.chunk_size)
-        ]
-
-    def run(self, items: Iterable[Any]) -> list:
-        items = list(items)
-        if not items:
-            return []
-        nested = parallel_map(
-            _run_shard,
-            self.shards(items),
-            workers=self.workers,
-            root_seed=self.root_seed,
-            task_timeout=self.task_timeout,
-            max_retries=self.max_retries,
-            context=self.context,
-            initializer=self.initializer,
-            initargs=self.initargs,
-            recorder=self.recorder,
-        )
-        return [result for shard in nested for result in shard]

@@ -9,7 +9,6 @@ from .advisory import AdvisoryOutcome, Detour, evaluate_advisories
 from .fields import predicted_speed_field
 from .paths import dijkstra
 from .travel_time import (
-    corridor_travel_times,
     segment_times_minutes,
     traverse_path_minutes,
     traverse_time_minutes,
@@ -20,7 +19,6 @@ __all__ = [
     "Detour",
     "evaluate_advisories",
     "predicted_speed_field",
-    "corridor_travel_times",
     "dijkstra",
     "segment_times_minutes",
     "traverse_path_minutes",

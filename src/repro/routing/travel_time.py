@@ -14,13 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..traffic.types import Corridor, TrafficSeries
+from ..traffic.types import Corridor
 
 __all__ = [
     "traverse_path_minutes",
     "traverse_time_minutes",
     "segment_times_minutes",
-    "corridor_travel_times",
 ]
 
 _MIN_SPEED = 1.0  # km/h floor to keep times finite
@@ -137,23 +136,3 @@ def traverse_time_minutes(
         interval_minutes=interval_minutes,
     )
 
-
-def corridor_travel_times(
-    series: TrafficSeries,
-    start_steps: np.ndarray,
-    speed_field: np.ndarray | None = None,
-) -> np.ndarray:
-    """Traversal times (minutes) for several departures.
-
-    ``speed_field`` defaults to the series' real speeds; pass a model's
-    predicted field to estimate what a navigation system would quote.
-    """
-    field = series.speeds if speed_field is None else speed_field
-    return np.array(
-        [
-            traverse_time_minutes(
-                series.corridor, field, int(step), interval_minutes=series.interval_minutes
-            )
-            for step in np.asarray(start_steps)
-        ]
-    )

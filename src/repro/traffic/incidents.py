@@ -17,6 +17,8 @@ from .types import SimulationConfig
 
 __all__ = ["Incident", "sample_incidents", "incident_masks"]
 
+_INCIDENT_REACH = 2  # hops a shockwave travels upstream
+
 
 @dataclass(frozen=True)
 class Incident:
@@ -120,13 +122,22 @@ def sample_incidents(
 
 
 def incident_masks(
+    road,
     incidents: list[Incident],
-    num_segments: int,
     total_steps: int,
     upstream_decay: float,
     delay_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand incidents into per-step arrays.
+    """Expand incidents into per-step arrays over a road's adjacency.
+
+    ``road`` is a :class:`~repro.traffic.types.Corridor` or a
+    :class:`~repro.network.graph.RoadGraph`: anything with ``len()`` and
+    ``upstream_of(i)``.  The shockwave walks ``upstream_of`` for
+    ``_INCIDENT_REACH`` hops, one hop every ``delay_steps``: at each hop
+    the damping multiplies by ``upstream_decay`` and divides by the
+    number of incoming branches (a merge splits the queue).  On a
+    corridor every hop has one upstream segment, so the damping is
+    ``decay**hop``.
 
     Returns
     -------
@@ -138,6 +149,7 @@ def incident_masks(
         (num_segments, T) 0/1 event indicator: 1 only on the directly hit
         segment during the active phase (what an ITS event log records).
     """
+    num_segments = len(road)
     factor = np.ones((num_segments, total_steps))
     flags = np.zeros((num_segments, total_steps))
 
@@ -145,23 +157,36 @@ def incident_masks(
         profile_len = incident.duration_steps + incident.recovery_steps
         profile = np.ones(profile_len)
         profile[: incident.duration_steps] = incident.severity
-        ramp = np.linspace(incident.severity, 1.0, incident.recovery_steps + 1)[1:]
-        profile[incident.duration_steps :] = ramp
+        profile[incident.duration_steps :] = np.linspace(
+            incident.severity, 1.0, incident.recovery_steps + 1
+        )[1:]
 
-        # Direct hit plus damped upstream shockwave (segments with lower index
-        # feed the hit segment, so the queue spills onto them with a delay).
-        reach = 2
-        for offset in range(0, reach + 1):
-            segment = incident.segment - offset
-            if segment < 0:
+        wave: dict[int, float] = {incident.segment: 1.0}
+        reached = {incident.segment}
+        for depth in range(_INCIDENT_REACH + 1):
+            start = incident.start_step + depth * delay_steps
+            if start < total_steps:
+                stop = min(start + profile_len, total_steps)
+                window = profile[: stop - start]
+                for segment, damping in sorted(wave.items()):
+                    hit = 1.0 - damping * (1.0 - window)
+                    factor[segment, start:stop] = np.minimum(factor[segment, start:stop], hit)
+            if depth == _INCIDENT_REACH:
                 break
-            damping = upstream_decay**offset
-            start = incident.start_step + offset * delay_steps
-            stop = min(start + profile_len, total_steps)
-            if start >= total_steps:
-                continue
-            segment_profile = 1.0 - damping * (1.0 - profile[: stop - start])
-            factor[segment, start:stop] = np.minimum(factor[segment, start:stop], segment_profile)
+            frontier: dict[int, float] = {}
+            for segment, damping in sorted(wave.items()):
+                ups = road.upstream_of(segment)
+                if not ups:
+                    continue
+                share = damping * upstream_decay / len(ups)
+                for up in ups:
+                    if up in reached:
+                        continue
+                    frontier[up] = max(frontier.get(up, 0.0), share)
+            if not frontier:
+                break
+            reached |= set(frontier)
+            wave = frontier
 
         active_stop = min(incident.end_step, total_steps)
         if incident.start_step < total_steps:

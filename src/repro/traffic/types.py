@@ -60,6 +60,14 @@ class Corridor:
     def target(self) -> RoadSegment:
         return self.segments[self.target_index]
 
+    def upstream_of(self, segment_id: int) -> tuple[int, ...]:
+        """Segments feeding ``segment_id``: the one before it on the path."""
+        return (segment_id - 1,) if segment_id > 0 else ()
+
+    def neighbours(self, segment_id: int) -> tuple[int, ...]:
+        """Segments either side of ``segment_id``, clipped at the ends."""
+        return tuple(s for s in (segment_id - 1, segment_id + 1) if 0 <= s < len(self.segments))
+
     @staticmethod
     def gyeongbu(num_segments: int = 9, rng: np.random.Generator | None = None) -> "Corridor":
         """Build a Gyeongbu-style corridor with mild heterogeneity.

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.network.waves` — the graph speed-field engine.
+"""Tests for :mod:`repro.network.waves` — the graph entry point to the engine.
 
 The two load-bearing pins: (1) a ``from_corridor`` graph reproduces the
 corridor simulator **bitwise**, and (2) network runs are deterministic
@@ -11,18 +11,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.experiments.network import stress_scenario
 from repro.network import (
     IncidentCascade,
     NetworkSimulator,
     Scenario,
     WeatherFront,
     from_corridor,
+    gravity_od_matrix,
     grid_city,
+    segment_demand_weights,
     simulate_network,
+    zones_from_graph,
 )
-from repro.network.waves import QUEUE_MAX, SPILL_ONSET, _graph_incident_masks
 from repro.traffic import Corridor, simulate
-from repro.traffic.incidents import Incident
+from repro.traffic.incidents import Incident, incident_masks
+from repro.traffic.simulator import QUEUE_MAX, SPILL_ONSET, _queue_spillback
 from repro.traffic.types import SimulationConfig
 
 
@@ -47,6 +51,8 @@ class TestCorridorInvariant:
         assert network.corridor is corridor
 
     def test_scenario_breaks_delegation_but_not_shape(self, config):
+        """A scenario leaves the plain-corridor case: spillback and the
+        schedule run, so the field differs but keeps its shape."""
         corridor = Corridor.gyeongbu(rng=np.random.default_rng(config.seed))
         graph = from_corridor(corridor)
         scenario = Scenario("front", (WeatherFront(start_step=50, duration_steps=40),))
@@ -75,6 +81,42 @@ class TestDeterminism:
         )
         fingerprint = hashlib.sha256(series.speeds.tobytes()).hexdigest()
         assert fingerprint == FINGERPRINT_3X3_1DAY
+
+
+def _digest(series) -> str:
+    h = hashlib.blake2b(digest_size=12)
+    for array in (series.speeds, series.events, series.precipitation, series.temperature):
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+class TestEngineDigests:
+    """Literal pins of both entry points, measured before the corridor
+    and the graph shared one engine."""
+
+    def test_default_corridor(self):
+        series = simulate(SimulationConfig(num_days=3, seed=2018))
+        assert _digest(series) == "65bc9c29ce247ebd45f075a6"
+
+    def test_long_corridor(self):
+        series = simulate(
+            SimulationConfig(num_days=2, seed=7), Corridor.gyeongbu(num_segments=68)
+        )
+        assert _digest(series) == "c2758a59990db7972aa21a60"
+
+    def test_grid(self, grid_series):
+        assert _digest(grid_series) == "1949921f3211049300208ceb"
+
+    def test_grid_with_od_weights_and_scenario(self, config):
+        graph = grid_city(4, 4, seed=0)
+        weights = segment_demand_weights(graph, gravity_od_matrix(zones_from_graph(graph, seed=0)))
+        series = simulate_network(
+            graph,
+            config,
+            demand_weights=weights,
+            scenario=stress_scenario(graph, config.total_steps),
+        )
+        assert _digest(series) == "3410dc7ec84031531c1b8a74"
 
 
 class TestSeriesShape:
@@ -153,7 +195,7 @@ class TestGraphIncidentMasks:
         incident = Incident(segment=4, start_step=10, duration_steps=6,
                             recovery_steps=4, severity=0.5, kind="accident")
         decay, delay = 0.6, 2
-        factor, flags = _graph_incident_masks(graph, [incident], 60, decay, delay)
+        factor, flags = incident_masks(graph, [incident], 60, decay, delay)
         # Depth d hits segment 4-d at start + d*delay with damping decay**d.
         for depth in range(3):
             segment = 4 - depth
@@ -170,7 +212,7 @@ class TestGraphIncidentMasks:
         assert len(ups) > 1  # central segment: a real merge
         incident = Incident(segment=seed, start_step=5, duration_steps=4,
                             recovery_steps=2, severity=0.5, kind="accident")
-        factor, _ = _graph_incident_masks(grid, [incident], 40, 0.7, 1)
+        factor, _ = incident_masks(grid, [incident], 40, 0.7, 1)
         share = 0.7 / len(ups)
         for up in ups:
             assert factor[up, 6] == pytest.approx(1.0 - share * 0.5)
@@ -180,14 +222,12 @@ class TestQueueSpillback:
     def test_jam_spills_upstream_over_time(self):
         """A hard jam on one segment drags its upstream feeders down."""
         graph = grid_city(3, 3, seed=0)
-        config = SimulationConfig(num_days=1, seed=5)
-        simulator = NetworkSimulator(graph, config)
         free_flow = np.array([s.free_flow_kmh for s in graph.segments])
         steps = 30
         speeds = np.tile(free_flow[:, None], (1, steps)).astype(float)
         jammed = graph.target_index
         speeds[jammed, :] = free_flow[jammed] * (1.0 - SPILL_ONSET - 0.3)
-        out = simulator._queue_spillback(speeds.copy(), free_flow)
+        out = _queue_spillback(graph, speeds.copy(), free_flow)
         ups = graph.upstream_of(jammed)
         for up in ups:
             assert out[up, steps - 1] < free_flow[up]  # queue reached upstream
@@ -198,10 +238,9 @@ class TestQueueSpillback:
 
     def test_free_flow_is_untouched(self):
         graph = grid_city(3, 3, seed=0)
-        simulator = NetworkSimulator(graph, SimulationConfig(num_days=1))
         free_flow = np.array([s.free_flow_kmh for s in graph.segments])
         speeds = np.tile(free_flow[:, None], (1, 10)).astype(float)
-        out = simulator._queue_spillback(speeds.copy(), free_flow)
+        out = _queue_spillback(graph, speeds.copy(), free_flow)
         np.testing.assert_array_equal(out, speeds)
 
 

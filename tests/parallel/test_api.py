@@ -1,17 +1,10 @@
-"""Tests for :func:`parallel_map` and :class:`ShardedSweep`."""
+"""Tests for :func:`parallel_map`."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel import (
-    ShardedSweep,
-    TaskFailure,
-    current_task_index,
-    current_task_seed,
-    derive_task_seed,
-    parallel_map,
-)
+from repro.parallel import TaskFailure, parallel_map
 
 
 def _double(item: int) -> int:
@@ -22,10 +15,6 @@ def _raise_on_three(item: int) -> int:
     if item == 3:
         raise RuntimeError("three is right out")
     return item
-
-
-def _identity_with_seed(item: int) -> tuple:
-    return (item, current_task_index(), current_task_seed())
 
 
 class TestParallelMap:
@@ -50,44 +39,3 @@ class TestParallelMap:
         assert isinstance(results[3], TaskFailure)
         assert [r for i, r in enumerate(results) if i != 3] == [0, 1, 2, 4]
 
-
-class TestShardedSweep:
-    def test_chunk_size_validation(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ShardedSweep(_double, chunk_size=0)
-
-    def test_shards_cover_items_contiguously(self):
-        sweep = ShardedSweep(_double, chunk_size=3)
-        shards = sweep.shards(list(range(8)))
-        assert [(base, items) for _, base, items, _ in shards] == [
-            (0, [0, 1, 2]),
-            (3, [3, 4, 5]),
-            (6, [6, 7]),
-        ]
-
-    def test_results_flattened_in_order(self):
-        items = list(range(10))
-        sweep = ShardedSweep(_double, workers=3, chunk_size=3)
-        assert sweep.run(items) == [_double(i) for i in items]
-
-    def test_empty(self):
-        assert ShardedSweep(_double, workers=2, chunk_size=4).run([]) == []
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 5, 100])
-    def test_item_seeds_invariant_to_chunking(self, chunk_size):
-        items = list(range(7))
-        expected = [(i, i, derive_task_seed(2018, i)) for i in items]
-        sweep = ShardedSweep(
-            _identity_with_seed, workers=2, chunk_size=chunk_size, root_seed=2018
-        )
-        assert sweep.run(items) == expected
-
-    def test_item_seeds_invariant_to_workers(self):
-        items = list(range(7))
-        runs = [
-            ShardedSweep(
-                _identity_with_seed, workers=w, chunk_size=2, root_seed=9
-            ).run(items)
-            for w in (1, 2, 4)
-        ]
-        assert runs[0] == runs[1] == runs[2]

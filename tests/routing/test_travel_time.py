@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.routing import (
-    corridor_travel_times,
     segment_times_minutes,
     traverse_path_minutes,
     traverse_time_minutes,
@@ -126,22 +125,23 @@ class TestTraversePath:
 
 class TestCorridorTravelTimes:
     def test_on_simulated_series(self, tiny_series):
-        starts = np.array([0, 100, 500])
-        times = corridor_travel_times(tiny_series, starts)
-        assert times.shape == (3,)
-        assert np.all(times > 0)
+        for step in (0, 100, 500):
+            assert traverse_time_minutes(tiny_series.corridor, tiny_series.speeds, step) > 0
 
     def test_rush_hour_slower_than_night(self, tiny_series):
         hours = tiny_series.hours
         weekday = tiny_series.day_types[:, 0] == 1
+
+        def mean_time(steps):
+            corridor, speeds = tiny_series.corridor, tiny_series.speeds
+            return np.mean([traverse_time_minutes(corridor, speeds, int(s)) for s in steps])
+
         night = np.flatnonzero(weekday & (hours == 3))[:5]
         morning = np.flatnonzero(weekday & (hours == 8))[:5]
-        night_times = corridor_travel_times(tiny_series, night)
-        morning_times = corridor_travel_times(tiny_series, morning)
-        assert morning_times.mean() > night_times.mean()
+        assert mean_time(morning) > mean_time(night)
 
     def test_custom_field(self, tiny_series):
         constant = np.full_like(tiny_series.speeds, 100.0)
-        times = corridor_travel_times(tiny_series, np.array([0]), speed_field=constant)
+        time = traverse_time_minutes(tiny_series.corridor, constant, 0)
         total_km = sum(s.length_km for s in tiny_series.corridor.segments)
-        assert times[0] == pytest.approx(total_km / 100.0 * 60.0)
+        assert time == pytest.approx(total_km / 100.0 * 60.0)

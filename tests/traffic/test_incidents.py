@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traffic import Incident, SimulationConfig, incident_masks, sample_incidents
+from repro.traffic import Corridor, Incident, SimulationConfig, incident_masks, sample_incidents
 
 
 def make_incident(**overrides):
@@ -12,6 +12,10 @@ def make_incident(**overrides):
     )
     defaults.update(overrides)
     return Incident(**defaults)
+
+
+def _corridor(num_segments: int) -> Corridor:
+    return Corridor.gyeongbu(num_segments=num_segments)
 
 
 class TestIncidentValidation:
@@ -68,25 +72,25 @@ class TestSampleIncidents:
 class TestIncidentMasks:
     def test_severity_applied_during_active_phase(self):
         incident = make_incident(segment=2, start_step=5, duration_steps=4, severity=0.4)
-        factor, flags = incident_masks([incident], 5, 30, upstream_decay=0.5, delay_steps=1)
+        factor, flags = incident_masks(_corridor(5), [incident], 30, upstream_decay=0.5, delay_steps=1)
         np.testing.assert_allclose(factor[2, 5:9], 0.4)
 
     def test_recovery_ramps_back_to_one(self):
         incident = make_incident(segment=0, start_step=0, duration_steps=2, recovery_steps=4, severity=0.5)
-        factor, _ = incident_masks([incident], 1, 20, upstream_decay=0.5, delay_steps=1)
+        factor, _ = incident_masks(_corridor(1), [incident], 20, upstream_decay=0.5, delay_steps=1)
         recovery = factor[0, 2:6]
         assert np.all(np.diff(recovery) > 0)
         np.testing.assert_allclose(factor[0, 6:], 1.0)
 
     def test_flags_only_on_hit_segment_active_phase(self):
         incident = make_incident(segment=3, start_step=5, duration_steps=4)
-        _, flags = incident_masks([incident], 5, 30, upstream_decay=0.5, delay_steps=1)
+        _, flags = incident_masks(_corridor(5), [incident], 30, upstream_decay=0.5, delay_steps=1)
         assert flags[3, 5:9].sum() == 4
         assert flags.sum() == 4  # nowhere else
 
     def test_upstream_propagation_damped_and_delayed(self):
         incident = make_incident(segment=4, start_step=10, duration_steps=6, severity=0.4)
-        factor, _ = incident_masks([incident], 6, 40, upstream_decay=0.5, delay_steps=2)
+        factor, _ = incident_masks(_corridor(6), [incident], 40, upstream_decay=0.5, delay_steps=2)
         # Upstream neighbour gets a milder factor, starting 2 steps later.
         np.testing.assert_allclose(factor[3, 10:12], 1.0)
         assert 0.4 < factor[3, 12] < 1.0
@@ -98,16 +102,16 @@ class TestIncidentMasks:
     def test_overlapping_incidents_take_minimum(self):
         a = make_incident(segment=1, start_step=5, duration_steps=5, severity=0.6)
         b = make_incident(segment=1, start_step=7, duration_steps=5, severity=0.3)
-        factor, _ = incident_masks([a, b], 3, 30, upstream_decay=0.5, delay_steps=1)
+        factor, _ = incident_masks(_corridor(3), [a, b], 30, upstream_decay=0.5, delay_steps=1)
         np.testing.assert_allclose(factor[1, 7:10], 0.3)
 
     def test_incident_past_end_is_clipped(self):
         incident = make_incident(segment=0, start_step=28, duration_steps=10)
-        factor, flags = incident_masks([incident], 2, 30, upstream_decay=0.5, delay_steps=1)
+        factor, flags = incident_masks(_corridor(2), [incident], 30, upstream_decay=0.5, delay_steps=1)
         assert factor.shape == (2, 30)
         assert flags[0, 28:].sum() == 2
 
     def test_no_incidents_identity(self):
-        factor, flags = incident_masks([], 4, 10, upstream_decay=0.5, delay_steps=1)
+        factor, flags = incident_masks(_corridor(4), [], 10, upstream_decay=0.5, delay_steps=1)
         np.testing.assert_allclose(factor, 1.0)
         np.testing.assert_allclose(flags, 0.0)

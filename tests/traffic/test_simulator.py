@@ -1,9 +1,12 @@
 """Tests for the corridor speed-field simulator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.traffic import SimulationConfig, TrafficSimulator, simulate
+from repro.traffic import Corridor, SimulationConfig, simulate
+from repro.traffic.simulator import congestion_speed_factor, demand_profile
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,19 @@ class TestShapesAndBounds:
     def test_hours_cycle(self, series):
         assert series.hours.min() == 0
         assert series.hours.max() == 23
+
+
+class TestSingleSegment:
+    def test_one_segment_corridor_is_finite_and_silent(self):
+        """A lone segment pulls toward itself, not toward an empty mean."""
+        config = SimulationConfig(num_days=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = simulate(config, Corridor.gyeongbu(num_segments=1))
+        assert series.speeds.shape == (1, 2 * 288)
+        assert np.isfinite(series.speeds).all()
+        assert series.speeds.min() >= config.min_speed_kmh
+        assert series.speeds.max() <= config.max_speed_kmh
 
 
 class TestDeterminism:
@@ -93,24 +109,24 @@ class TestTrafficPatterns:
 
 class TestDemandModel:
     def test_profile_peaks_at_rush_hours(self):
-        sim = TrafficSimulator(SimulationConfig(num_days=1, seed=0))
+        config = SimulationConfig(num_days=1, seed=0)
         hours = np.linspace(0, 24, 289)[:-1]
-        profile = sim.demand_profile(hours, weekday=True, holiday=False)
+        profile = demand_profile(config, hours, weekday=True, holiday=False)
         morning = profile[(hours > 7) & (hours < 9)].max()
         midnight = profile[hours < 1].mean()
         assert morning > midnight * 2
 
     def test_holiday_profile_flatter(self):
-        sim = TrafficSimulator(SimulationConfig(num_days=1, seed=0))
+        config = SimulationConfig(num_days=1, seed=0)
         hours = np.linspace(0, 24, 289)[:-1]
-        weekday = sim.demand_profile(hours, weekday=True, holiday=False)
-        holiday = sim.demand_profile(hours, weekday=False, holiday=True)
+        weekday = demand_profile(config, hours, weekday=True, holiday=False)
+        holiday = demand_profile(config, hours, weekday=False, holiday=True)
         assert holiday.max() < weekday.max()
 
     def test_congestion_factor_monotone_decreasing(self):
-        sim = TrafficSimulator(SimulationConfig(num_days=1, seed=0))
+        config = SimulationConfig(num_days=1, seed=0)
         demand = np.linspace(0.0, 1.2, 50)
-        factor = sim.congestion_speed_factor(demand)
+        factor = congestion_speed_factor(config, demand)
         assert np.all(np.diff(factor) < 0)
         assert factor[0] > 0.95
         assert factor[-1] < 0.5

@@ -5,7 +5,8 @@ Four checks, all in seconds:
 
 1. **Corridor invariant** — a :func:`from_corridor` graph run through
    :class:`NetworkSimulator` must reproduce :class:`TrafficSimulator`
-   output bitwise (the delegation contract the whole PR rests on).
+   output bitwise (both run the one engine; a plain corridor graph
+   runs no queue spillback).
 2. **Determinism** — building the same grid city twice gives identical
    graphs (BFS-ordered), and two scenario runs at one seed give
    identical speed fields.
